@@ -410,6 +410,44 @@ expectSameDeliveries(const std::vector<Delivery> &serialized,
     }
 }
 
+/**
+ * FNV-1a digest of a delivery stream, in order. The MeshEngines tests
+ * pin each traffic pattern's digest as recorded on the serialized
+ * per-packet engine, the original obviously-correct routing path.
+ */
+struct StreamDigest
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 1099511628211ull;
+        }
+    }
+
+    void
+    mix(const std::vector<Delivery> &ds)
+    {
+        for (const Delivery &d : ds) {
+            mix(d.tick);
+            mix(d.node);
+            mix(d.src);
+            mix(d.destAddr);
+        }
+    }
+};
+
+std::uint64_t
+digestOf(const std::vector<Delivery> &ds)
+{
+    StreamDigest d;
+    d.mix(ds);
+    return d.h;
+}
+
 /** All-pairs burst: every node sends to every other node at tick 0, so
  *  every link sees contention and every ledger FIFO gets exercised. */
 void
@@ -434,18 +472,20 @@ TEST(MeshEngines, AllPairs4x4DeliveryStreamsMatch)
 {
     std::vector<int> per(16, 15);
     auto traffic = [](sim::Simulator &, Mesh &m) { injectAllPairs(m); };
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per);
+    EXPECT_EQ(digestOf(serialized), 0x6a8e62f2919c4516ull);
+    expectSameDeliveries(serialized,
+                         runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
 }
 
 TEST(MeshEngines, AllPairs8x8DeliveryStreamsMatch)
 {
     std::vector<int> per(64, 63);
     auto traffic = [](sim::Simulator &, Mesh &m) { injectAllPairs(m); };
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 8, 8, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 8, 8, traffic, per));
+    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 8, 8, traffic, per);
+    EXPECT_EQ(digestOf(serialized), 0x47a2b74b5a5b3a7eull);
+    expectSameDeliveries(serialized,
+                         runUnderEngine(Mesh::Engine::Coalesced, 8, 8, traffic, per));
 }
 
 TEST(MeshEngines, SpanSampledDeliveryAndFlowStreamsMatch)
@@ -503,6 +543,16 @@ TEST(MeshEngines, SpanSampledDeliveryAndFlowStreamsMatch)
     tracer.setEnabled(false);
     tracer.clear();
 
+    StreamDigest digest;
+    digest.mix(serialized);
+    for (const auto &[phase, tick, name, id] : serializedFlows) {
+        digest.mix(std::uint64_t(phase));
+        digest.mix(tick);
+        for (char c : name)
+            digest.mix(std::uint64_t(std::uint8_t(c)));
+        digest.mix(id);
+    }
+    EXPECT_EQ(digest.h, 0x6f7ef849f12248d1ull);
     expectSameDeliveries(serialized, coalesced);
     EXPECT_FALSE(serializedFlows.empty());
     EXPECT_EQ(coalescedFlows, serializedFlows);
@@ -527,9 +577,10 @@ TEST(MeshEngines, IncastContentionDeliveryStreamsMatch)
     };
     std::vector<int> per(16, 0);
     per[0] = 15 * per_src;
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per);
+    EXPECT_EQ(digestOf(serialized), 0xb6fa13d5cd98ede0ull);
+    expectSameDeliveries(serialized,
+                         runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
 }
 
 TEST(MeshEngines, StaggeredSeededTrafficDeliveryStreamsMatch)
@@ -575,9 +626,10 @@ TEST(MeshEngines, StaggeredSeededTrafficDeliveryStreamsMatch)
             }(s, mesh, NodeId(src), plan[src]));
         }
     };
-    expectSameDeliveries(
-        runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per),
-        runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per);
+    EXPECT_EQ(digestOf(serialized), 0x7b973c8084d9a3dcull);
+    expectSameDeliveries(serialized,
+                         runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
 }
 
 } // namespace
