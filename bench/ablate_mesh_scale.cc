@@ -17,10 +17,11 @@
  * expansion is cheap (the paper's premise for scaling).
  *
  * Under --check-determinism the registered points (au/<hops>,
- * allpairs/<ranks>, panel/<width>) each run twice with tracing on;
- * tracing forces Mesh::Engine::Auto onto the serialized routing path,
- * so this binary doubles as the CI gate that the 32x32 configuration
- * is deterministic hop-for-hop.
+ * allpairs/<ranks>, panel/<width>) each run twice with tracing on, so
+ * this binary doubles as the gate that the 32x32 configuration is
+ * deterministic hop-for-hop; with --golden=tests/golden_trace_hashes.txt
+ * every point must also reproduce its pinned hash, the exact oracle for
+ * contended multi-hop routing.
  */
 
 #include <cstdio>

@@ -8,7 +8,6 @@
 #include "base/span.hh"
 #include "base/timeseries.hh"
 #include "base/trace.hh"
-#include "net/mesh.hh"
 #include "sim/profile.hh"
 
 namespace shrimp::bench
@@ -51,20 +50,6 @@ parseBenchFlags(int &argc, char **argv)
         } else if (std::strncmp(argv[i], "--span-sample=", 14) == 0) {
             span::setSampleEvery(
                 std::strtoull(argv[i] + 14, nullptr, 10));
-        } else if (std::strncmp(argv[i], "--mesh-engine=", 14) == 0) {
-            const char *name = argv[i] + 14;
-            if (std::strcmp(name, "auto") == 0) {
-                net::Mesh::setDefaultEngine(net::Mesh::Engine::Auto);
-            } else if (std::strcmp(name, "serialized") == 0) {
-                net::Mesh::setDefaultEngine(
-                    net::Mesh::Engine::Serialized);
-            } else if (std::strcmp(name, "coalesced") == 0) {
-                net::Mesh::setDefaultEngine(
-                    net::Mesh::Engine::Coalesced);
-            } else {
-                fatal(std::string("--mesh-engine: unknown engine '") +
-                      name + "' (want auto, serialized or coalesced)");
-            }
         } else if (std::strcmp(argv[i], "--profile") == 0) {
             profile_requested = true;
         } else if (std::strncmp(argv[i], "--profile=", 10) == 0) {

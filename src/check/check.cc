@@ -457,8 +457,14 @@ SimChecker::onLinkTraverse(const void *router, NodeId router_id, int dir,
                            NodeId src, std::uint64_t seq)
 {
     numChecks_ += 1;
-    if (seq == 0)
-        return; // unsequenced packet (tests drive forward() directly)
+    if (seq == 0) {
+        // Mesh::inject sequences every packet from 1, and it is the only
+        // way onto a link.
+        violation(logging::format(
+            "unsequenced packet from node %u traversed router %u link %d",
+            unsigned(src), unsigned(router_id), dir));
+        return;
+    }
     auto &last = routers_[router].lastLinkSeq;
     auto it = last.find({dir, src});
     if (it != last.end() && seq <= it->second) {

@@ -218,7 +218,7 @@ class SimChecker
 
     /** A packet from @p src finished traversing link @p dir of router
      *  @p router_id: per-source seqs on one link must be strictly
-     *  increasing (seq 0 = unsequenced test packets, skipped). */
+     *  increasing, and seq 0 (never injected) is itself a violation. */
     void onLinkTraverse(const void *router, NodeId router_id, int dir,
                         NodeId src, std::uint64_t seq);
 

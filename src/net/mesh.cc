@@ -10,23 +10,6 @@
 namespace shrimp::net
 {
 
-namespace
-{
-Mesh::Engine gDefaultEngine = Mesh::Engine::Auto;
-} // namespace
-
-void
-Mesh::setDefaultEngine(Engine e)
-{
-    gDefaultEngine = e;
-}
-
-Mesh::Engine
-Mesh::defaultEngine()
-{
-    return gDefaultEngine;
-}
-
 Mesh::Mesh(sim::Simulator &sim, const MachineConfig &cfg)
     : sim_(sim), width_(cfg.meshWidth), height_(cfg.meshHeight),
       hopLatency_(cfg.hopLatency),
@@ -126,8 +109,8 @@ Mesh::hops(NodeId a, NodeId b) const
     return hopsTbl_[std::size_t(a) * numNodes() + b];
 }
 
-// analyze: lookahead-entry(mesh, mesh-grant) — the single fabric
-// ingress; both engines charge a full hop before off-node visibility.
+// analyze: lookahead-entry(mesh) — the single fabric ingress; every hop
+// charges its link occupancy before off-node visibility.
 void
 Mesh::inject(Packet pkt)
 {
@@ -142,22 +125,12 @@ Mesh::inject(Packet pkt)
     statBytesInjected_ += pkt.payload.size();
     statHops_.sample(double(h));
     sim::profile::Scope prof(sim::profile::Subsys::Mesh);
-    // Pick the engine only between bursts: in-flight packets hold link
-    // state (semaphore queues vs ledgers) that the other engine cannot
-    // see, so a switch waits until the fabric drains.
-    if (inflight_ == 0)
-        coalescedActive_ = engine_ == Engine::Coalesced ||
-                           (engine_ == Engine::Auto && !trace::on());
     ++inflight_;
-    if (!coalescedActive_) {
-        sim_.spawn(routeTask(std::move(pkt)));
-        return;
-    }
     Flight *f = allocFlight();
     f->pkt = std::move(pkt);
     f->cur = f->pkt.src;
-    // analyze: lookahead-charge(mesh-grant) — per-hop occupancy: the
-    // grant event fires no earlier than hopLatency + wire time.
+    // analyze: lookahead-charge(mesh) — per-hop link occupancy: the
+    // hop-done event fires no earlier than hopLatency + wire time.
     f->occ = hopLatency_ + units::transferTime(f->pkt.wireBytes(), linkBps_);
     // analyze: lookahead(self-delivery stays on-node: src == dst)
     if (f->cur == f->pkt.dst)
@@ -166,43 +139,11 @@ Mesh::inject(Packet pkt)
         startHop(f);
 }
 
-sim::Task<>
-Mesh::routeTask(Packet pkt)
-{
-    NodeId cur = pkt.src;
-    while (cur != pkt.dst) {
-        Dir d = nextDir(cur, pkt.dst);
-        NodeId next = neighbor(cur, d);
-        co_await routers_[cur]->forward(pkt, d);
-        SHRIMP_CHECK_HOOK(
-            check::SimChecker::instance().onMeshHop(this, pkt.seq));
-        // One flow waypoint per hop, on the router whose link just
-        // carried the packet: the viewer draws the XY route.
-        span::step(pkt.spanId, routerTracks_[cur], "hop",
-                   sim_.queue().now());
-        cur = next;
-    }
-    ++delivered_;
-    statPacketsDelivered_ += 1;
-    trace::instant(routerTracks_[cur], "pkt.ejected", sim_.queue().now());
-    span::step(pkt.spanId, routerTracks_[cur], "pkt.eject",
-               sim_.queue().now());
-    SHRIMP_CHECK_HOOK(check::SimChecker::instance().onMeshEject(
-        this, cur, pkt.src, pkt.dst, pkt.seq));
-    // analyze: lookahead(zero-hop eject only when src == dst — a
-    // self-delivery that never leaves the node; every other path
-    // paid forward() above)
-    routers_[cur]->eject(std::move(pkt));
-    --inflight_;
-}
-
-// ---- coalesced engine -----------------------------------------------------
-// One pooled event per hop, scheduled at the tick the serialized path
-// would schedule its bus-occupancy Delay, with contended grants handed
-// off through a zero-delay event exactly where Semaphore::release defers
-// its resume. Event ticks AND same-tick insertion order therefore match
-// the serialized path, which makes every simulated outcome — delivery
-// ticks, eject order, stats — bit-identical (DESIGN.md §14).
+// One pooled event per hop at the end of the link's occupancy; a
+// contended link hands its grant to the oldest waiter through a
+// zero-delay event, the deferred handoff Semaphore::release makes. These
+// are exactly the ticks and same-tick insertion points of the per-packet
+// coroutine engine the golden hashes were recorded on (DESIGN.md §14).
 
 void
 Mesh::startHop(Flight *f)
@@ -213,8 +154,8 @@ Mesh::startHop(Flight *f)
     f->link = li;
     LinkLedger &led = ledgers_[li];
     if (led.busy) {
-        // The serialized path would park in the bus semaphore's FIFO;
-        // park in the ledger's. No event is scheduled until the grant.
+        // Park in the ledger's FIFO. No event is scheduled until the
+        // grant.
         f->qnext = nullptr;
         if (led.tail)
             led.tail->qnext = f;
@@ -232,11 +173,10 @@ Mesh::grantLink(Flight *f)
 {
     sim::Bus *bus = routers_[f->cur]->linkBus(Dir(f->link % numDirs));
     if (!bus)
-        panic("forward on unconnected mesh link");
-    SHRIMP_CHECK_HOOK(check::SimChecker::instance().onBusTransferStart(
-        bus, f->pkt.wireBytes()));
-    // Router attribution, like Bus::transfer's retag: the hop-done
-    // event below (and anything it schedules) bills to the fabric.
+        panic("hop on unconnected mesh link");
+    bus->startTransfer(f->pkt.wireBytes());
+    // The hop-done event below (and anything it schedules) bills to the
+    // fabric.
     sim::profile::Scope prof(sim::profile::Subsys::Router);
     Mesh *m = this;
     sim_.queue().scheduleIn(f->occ, [m, f] { m->hopDone(f); });
@@ -250,10 +190,7 @@ Mesh::hopDone(Flight *f)
     NodeId cur = f->cur;
     Dir d = Dir(f->link % numDirs);
     Router &rtr = *routers_[cur];
-    sim::Bus *bus = rtr.linkBus(d);
-    SHRIMP_CHECK_HOOK(check::SimChecker::instance().onBusTransferEnd(
-        bus, f->pkt.wireBytes()));
-    bus->recordExternalTransfer(f->pkt.wireBytes(), f->occ);
+    rtr.linkBus(d)->finishTransfer(f->pkt.wireBytes(), f->occ);
     // Release the link. A waiter gets the grant through a zero-delay
     // event — the same deferred handoff (same tick, same insertion
     // point) as Semaphore::release resuming the oldest waiter.

@@ -2,15 +2,13 @@
 
 #include <cstdio>
 
-#include "base/logging.hh"
 #include "check/check.hh"
 
 namespace shrimp::net
 {
 
 Router::Router(sim::EventQueue &queue, NodeId id, const MachineConfig &cfg)
-    : queue_(queue), id_(id), hopLatency_(cfg.hopLatency),
-      linkBw_(cfg.linkBw), ejectQueue_(queue)
+    : queue_(queue), id_(id), linkBw_(cfg.linkBw), ejectQueue_(queue)
 {
     SHRIMP_CHECK_HOOK(check::SimChecker::instance().onRouterCreated(this));
 }
@@ -33,7 +31,6 @@ Router::connect(Dir d)
         std::snprintf(name, sizeof(name), "router%u.link%d",
                       unsigned(id_), int(d));
         link = std::make_unique<sim::Bus>(queue_, linkBw_, name);
-        link->setProfileSubsys(sim::profile::Subsys::Router);
     }
 }
 
@@ -41,22 +38,6 @@ bool
 Router::connected(Dir d) const
 {
     return links_[int(d)] != nullptr;
-}
-
-sim::Task<>
-Router::forward(const Packet &pkt, Dir d)
-{
-    auto &link = links_[int(d)];
-    if (!link)
-        panic("forward on unconnected mesh link");
-    // analyze: lookahead-charge(mesh) — every hop pays link occupancy
-    // of at least hopLatency before the packet advances.
-    co_await link->transfer(pkt.wireBytes(), hopLatency_);
-    // After the transfer: the link bus serializes packets, so completion
-    // order is the order the link actually carried them.
-    SHRIMP_CHECK_HOOK(check::SimChecker::instance().onLinkTraverse(
-        this, id_, int(d), pkt.src, pkt.seq));
-    ++forwarded_;
 }
 
 } // namespace shrimp::net

@@ -2,6 +2,7 @@
 
 #include "base/logging.hh"
 #include "check/check.hh"
+#include "sim/profile.hh"
 
 namespace shrimp::sim
 {
@@ -27,8 +28,21 @@ Bus::occupancy(std::size_t bytes, Tick setup) const
 }
 
 void
-Bus::recordExternalTransfer(std::size_t bytes, Tick occupied)
+Bus::startTransfer([[maybe_unused]] std::size_t bytes)
 {
+    SHRIMP_CHECK_HOOK(
+        check::SimChecker::instance().onBusTransferStart(this, bytes));
+    if (trace::on())
+        trace::Tracer::instance().begin(track_, "xfer", queue_.now());
+}
+
+void
+Bus::finishTransfer(std::size_t bytes, Tick occupied)
+{
+    SHRIMP_CHECK_HOOK(
+        check::SimChecker::instance().onBusTransferEnd(this, bytes));
+    if (trace::on())
+        trace::Tracer::instance().end(track_, "xfer", queue_.now());
     busyTime_ += occupied;
     bytes_ += bytes;
     ++transactions_;
@@ -43,25 +57,15 @@ Bus::transfer(std::size_t bytes, Tick setup)
 {
     // The queueing and occupancy events this coroutine schedules are
     // the bus's own cost, whoever initiated the transfer.
-    profile::retag(profSubsys_);
+    profile::retag(profile::Subsys::Bus);
     co_await lock_.acquire();
-    profile::retag(profSubsys_);
-    SHRIMP_CHECK_HOOK(
-        check::SimChecker::instance().onBusTransferStart(this, bytes));
-    trace::ScopedSpan span(queue_, track_, "xfer");
+    profile::retag(profile::Subsys::Bus);
+    startTransfer(bytes);
     Tick t = occupancy(bytes, setup);
     // analyze: allow(suspend-under-exclusion) — this Delay IS the bus
     // occupancy being modeled; the lock is held exactly for its span.
     co_await Delay{queue_, t};
-    SHRIMP_CHECK_HOOK(
-        check::SimChecker::instance().onBusTransferEnd(this, bytes));
-    busyTime_ += t;
-    bytes_ += bytes;
-    ++transactions_;
-    statTransactions_ += 1;
-    statBytes_ += bytes;
-    statOccupancyNs_ += t;
-    statXferBytes_.sample(double(bytes));
+    finishTransfer(bytes, t);
     lock_.release();
 }
 

@@ -15,7 +15,6 @@
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "base/types.hh"
-#include "sim/profile.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
 
@@ -42,13 +41,15 @@ class Bus
     Tick occupancy(std::size_t bytes, Tick setup = 0) const;
 
     /**
-     * Account one transaction of @p bytes that occupied the bus for
-     * @p occupied ticks but was serialized externally (the mesh's link
-     * ledger charges occupancy without running transfer()'s coroutine).
-     * Keeps busyTime()/bytesMoved()/transactions() and the stats group
-     * identical to the equivalent transfer() calls.
+     * Bracket one transaction of @p bytes that is serialized outside
+     * the bus (the mesh's link ledger grants links itself instead of
+     * queueing on transfer()'s lock): startTransfer() at the grant,
+     * finishTransfer() once it has occupied the bus for @p occupied
+     * ticks. The pair checks, traces (the "xfer" span on this bus's
+     * track) and counts the transaction exactly as transfer() does.
      */
-    void recordExternalTransfer(std::size_t bytes, Tick occupied);
+    void startTransfer(std::size_t bytes);
+    void finishTransfer(std::size_t bytes, Tick occupied);
 
     double bandwidth() const { return bw_; }
     Tick busyTime() const { return busyTime_; }
@@ -56,14 +57,9 @@ class Bus
     std::uint64_t transactions() const { return transactions_; }
     stats::Group &stats() { return stats_; }
 
-    /** Profiler subsystem this bus's occupancy is attributed to
-     *  (default Bus; a router tags its links Router). */
-    void setProfileSubsys(profile::Subsys s) { profSubsys_ = s; }
-
   private:
     EventQueue &queue_;
     double bw_;
-    profile::Subsys profSubsys_ = profile::Subsys::Bus;
     std::uint64_t bps_; //!< bw_ in whole bytes/s; see units::transferTime
     Semaphore lock_;
     Tick busyTime_ = 0;

@@ -451,13 +451,12 @@ TEST_F(CheckTest, LinkSeqRegressionCaught)
     EXPECT_TRUE(sawViolation("per-link in-order delivery broken"));
 }
 
-TEST_F(CheckTest, LinkUnsequencedPacketsSkipped)
+TEST_F(CheckTest, LinkUnsequencedPacketCaught)
 {
     int router = 0;
     checker().onRouterCreated(&router);
-    checker().onLinkTraverse(&router, 4, 0, 0, 5);
-    checker().onLinkTraverse(&router, 4, 0, 0, 0); // seq 0: no check
-    EXPECT_TRUE(checker().violations().empty());
+    checker().onLinkTraverse(&router, 4, 0, 0, 0); // never injected
+    EXPECT_TRUE(sawViolation("unsequenced packet from node 0"));
 }
 
 // ---- task registry (deadlock attribution) ------------------------------
@@ -627,19 +626,16 @@ TEST_F(CheckTest, VmmcExchangeRunsCleanUnderAbortMode)
 
 // Seeded contention through the real mesh with every compiled hook live
 // and abort mode on: conservation, misroute, hop-count, per-pair FIFO,
-// per-link per-source order, and the per-link Bus grant pairing must all
-// hold on whichever engine routes the packets. Run once per engine so
-// the coalesced ledger path is covered even though checked builds trace
-// nothing (Engine::Auto would also pick it, but the intent is explicit).
+// per-link per-source order (every hop sequenced), and the per-link Bus
+// grant pairing must all hold on the link-ledger engine.
 void
-runSeededMeshContention(net::Mesh::Engine engine)
+runSeededMeshContention()
 {
     sim::Simulator s;
     MachineConfig cfg;
     cfg.meshWidth = 4;
     cfg.meshHeight = 4;
     net::Mesh mesh(s, cfg);
-    mesh.setEngine(engine);
 
     std::vector<int> per(16, 0);
     std::uint32_t seed = 0xBADC0DE;
@@ -672,18 +668,10 @@ runSeededMeshContention(net::Mesh::Engine engine)
     EXPECT_EQ(mesh.packetsInFlight(), 0u);
 }
 
-TEST_F(CheckTest, MeshSerializedSeededContentionRunsCleanUnderAbortMode)
-{
-    checker().setAbortOnViolation(true);
-    runSeededMeshContention(net::Mesh::Engine::Serialized);
-    EXPECT_TRUE(checker().violations().empty());
-    EXPECT_GT(checker().numChecks(), 0u);
-}
-
 TEST_F(CheckTest, MeshCoalescedSeededContentionRunsCleanUnderAbortMode)
 {
     checker().setAbortOnViolation(true);
-    runSeededMeshContention(net::Mesh::Engine::Coalesced);
+    runSeededMeshContention();
     EXPECT_TRUE(checker().violations().empty());
     EXPECT_GT(checker().numChecks(), 0u);
 }

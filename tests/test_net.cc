@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <tuple>
 
 #include "base/logging.hh"
 #include "base/span.hh"
@@ -206,19 +204,6 @@ TEST(Mesh, OutOfRangeNodePanics)
     EXPECT_THROW(mesh.inject(makePacket(0, 9, 8, 0)), PanicError);
 }
 
-TEST(Router, ForwardOnUnconnectedLinkPanics)
-{
-    sim::Simulator s;
-    MachineConfig cfg = meshConfig(2, 2);
-    Router r(s.queue(), 0, cfg);
-    Packet p = makePacket(0, 1, 8, 0);
-    EXPECT_FALSE(r.connected(Dir::East));
-    s.spawn([](Router &r, Packet p) -> sim::Task<> {
-        co_await r.forward(p, Dir::East);
-    }(r, p));
-    EXPECT_THROW(s.runAll(), PanicError);
-}
-
 TEST(Router, CountsForwardedPackets)
 {
     sim::Simulator s;
@@ -339,13 +324,14 @@ TEST(MeshIncast, LinkContentionSlowsButNeverDrops)
     EXPECT_GE(s.now(), units::transferTime(100 * 528, 175.0));
 }
 
-// ---- engine equivalence ---------------------------------------------------
-// DESIGN.md §14: the coalesced link-ledger engine mirrors the serialized
-// coroutine path event-for-event. These tests run identical traffic under
-// both engines and assert that the complete delivery streams — every
-// ejection's (tick, node, src, destAddr), in global simulation order —
-// are equal. Global order matters: within-tick ejections feed receiver
-// wakeups, so an ordering difference would be observable downstream.
+// ---- pinned delivery streams --------------------------------------------
+// DESIGN.md §14: the link ledger replaced a per-packet coroutine engine
+// that co_awaited a full Bus handshake at every hop. Each test below runs
+// one traffic pattern and pins a digest of its complete delivery stream
+// — every ejection's (tick, node, src, destAddr), in global simulation
+// order — recorded on that engine. Global order matters: within-tick
+// ejections feed receiver wakeups, so an ordering difference would be
+// observable downstream.
 
 struct Delivery
 {
@@ -353,28 +339,19 @@ struct Delivery
     NodeId node;
     NodeId src;
     PAddr destAddr;
-
-    bool
-    operator==(const Delivery &o) const
-    {
-        return tick == o.tick && node == o.node && src == o.src &&
-               destAddr == o.destAddr;
-    }
 };
 
 /**
- * Run @p traffic on a fresh w x h mesh under @p engine, draining
- * @p perNode[n] packets from each node's eject queue, and return the
- * deliveries in the order the simulation produced them.
+ * Run @p traffic on a fresh w x h mesh, draining @p perNode[n] packets
+ * from each node's eject queue, and return the deliveries in the order
+ * the simulation produced them.
  */
 template <typename Traffic>
 std::vector<Delivery>
-runUnderEngine(Mesh::Engine engine, int w, int h, Traffic &&traffic,
-               const std::vector<int> &perNode)
+runTraffic(int w, int h, Traffic &&traffic, const std::vector<int> &perNode)
 {
     sim::Simulator s;
     Mesh mesh(s, meshConfig(w, h));
-    mesh.setEngine(engine);
     std::vector<Delivery> out;
     for (int n = 0; n < w * h; ++n) {
         if (perNode[n] == 0)
@@ -393,28 +370,7 @@ runUnderEngine(Mesh::Engine engine, int w, int h, Traffic &&traffic,
     return out;
 }
 
-void
-expectSameDeliveries(const std::vector<Delivery> &serialized,
-                     const std::vector<Delivery> &coalesced)
-{
-    ASSERT_EQ(serialized.size(), coalesced.size());
-    for (std::size_t i = 0; i < serialized.size(); ++i) {
-        EXPECT_TRUE(serialized[i] == coalesced[i])
-            << "delivery " << i << " diverged: serialized (tick "
-            << serialized[i].tick << ", node " << serialized[i].node
-            << ", src " << serialized[i].src << ", addr "
-            << serialized[i].destAddr << ") vs coalesced (tick "
-            << coalesced[i].tick << ", node " << coalesced[i].node
-            << ", src " << coalesced[i].src << ", addr "
-            << coalesced[i].destAddr << ")";
-    }
-}
-
-/**
- * FNV-1a digest of a delivery stream, in order. The MeshEngines tests
- * pin each traffic pattern's digest as recorded on the serialized
- * per-packet engine, the original obviously-correct routing path.
- */
+/** FNV-1a digest of a delivery stream and any other mixed-in values. */
 struct StreamDigest
 {
     std::uint64_t h = 1469598103934665603ull;
@@ -472,28 +428,23 @@ TEST(MeshEngines, AllPairs4x4DeliveryStreamsMatch)
 {
     std::vector<int> per(16, 15);
     auto traffic = [](sim::Simulator &, Mesh &m) { injectAllPairs(m); };
-    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per);
-    EXPECT_EQ(digestOf(serialized), 0x6a8e62f2919c4516ull);
-    expectSameDeliveries(serialized,
-                         runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    EXPECT_EQ(digestOf(runTraffic(4, 4, traffic, per)),
+              0x6a8e62f2919c4516ull);
 }
 
 TEST(MeshEngines, AllPairs8x8DeliveryStreamsMatch)
 {
     std::vector<int> per(64, 63);
     auto traffic = [](sim::Simulator &, Mesh &m) { injectAllPairs(m); };
-    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 8, 8, traffic, per);
-    EXPECT_EQ(digestOf(serialized), 0x47a2b74b5a5b3a7eull);
-    expectSameDeliveries(serialized,
-                         runUnderEngine(Mesh::Engine::Coalesced, 8, 8, traffic, per));
+    EXPECT_EQ(digestOf(runTraffic(8, 8, traffic, per)),
+              0x47a2b74b5a5b3a7eull);
 }
 
 TEST(MeshEngines, SpanSampledDeliveryAndFlowStreamsMatch)
 {
-    // --span-sample coverage on the coalesced engine: with sampling on
-    // and the tracer capturing, both engines must produce the same
-    // delivery stream AND the same flow-event stream (every sampled
-    // packet's hop/eject waypoints at the same ticks on the same ids).
+    // --span-sample coverage: with sampling on and the tracer capturing,
+    // the digest pins the delivery stream AND the flow-event stream
+    // (every sampled packet's hop/eject waypoints, ticks and ids).
     auto &tracer = trace::Tracer::instance();
     using Phase = trace::Tracer::Phase;
     auto traffic = [](sim::Simulator &, Mesh &mesh) {
@@ -513,49 +464,31 @@ TEST(MeshEngines, SpanSampledDeliveryAndFlowStreamsMatch)
             }
         }
     };
-    auto flows = [&tracer] {
-        std::vector<std::tuple<int, Tick, std::string, std::uint64_t>> out;
-        for (const auto &e : tracer.events()) {
-            if (e.phase >= Phase::FlowStart)
-                out.emplace_back(int(e.phase), e.tick,
-                                 std::string(e.name), e.id);
-        }
-        return out;
-    };
     std::vector<int> per(16, 15);
 
     tracer.setEnabled(true);
     tracer.clear();
     span::reset();
     span::setSampleEvery(2);
-    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4,
-                                     traffic, per);
-    auto serializedFlows = flows();
-
-    tracer.clear();
-    span::reset();
-    span::setSampleEvery(2);
-    auto coalesced = runUnderEngine(Mesh::Engine::Coalesced, 4, 4,
-                                    traffic, per);
-    auto coalescedFlows = flows();
-
+    StreamDigest digest;
+    digest.mix(runTraffic(4, 4, traffic, per));
+    int flowEvents = 0;
+    for (const auto &e : tracer.events()) {
+        if (e.phase < Phase::FlowStart)
+            continue;
+        ++flowEvents;
+        digest.mix(std::uint64_t(e.phase));
+        digest.mix(e.tick);
+        for (const char *c = e.name; *c; ++c)
+            digest.mix(std::uint64_t(std::uint8_t(*c)));
+        digest.mix(e.id);
+    }
     span::reset();
     tracer.setEnabled(false);
     tracer.clear();
 
-    StreamDigest digest;
-    digest.mix(serialized);
-    for (const auto &[phase, tick, name, id] : serializedFlows) {
-        digest.mix(std::uint64_t(phase));
-        digest.mix(tick);
-        for (char c : name)
-            digest.mix(std::uint64_t(std::uint8_t(c)));
-        digest.mix(id);
-    }
+    EXPECT_GT(flowEvents, 0);
     EXPECT_EQ(digest.h, 0x6f7ef849f12248d1ull);
-    expectSameDeliveries(serialized, coalesced);
-    EXPECT_FALSE(serializedFlows.empty());
-    EXPECT_EQ(coalescedFlows, serializedFlows);
 }
 
 TEST(MeshEngines, IncastContentionDeliveryStreamsMatch)
@@ -577,10 +510,8 @@ TEST(MeshEngines, IncastContentionDeliveryStreamsMatch)
     };
     std::vector<int> per(16, 0);
     per[0] = 15 * per_src;
-    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per);
-    EXPECT_EQ(digestOf(serialized), 0xb6fa13d5cd98ede0ull);
-    expectSameDeliveries(serialized,
-                         runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    EXPECT_EQ(digestOf(runTraffic(4, 4, traffic, per)),
+              0xb6fa13d5cd98ede0ull);
 }
 
 TEST(MeshEngines, StaggeredSeededTrafficDeliveryStreamsMatch)
@@ -626,10 +557,8 @@ TEST(MeshEngines, StaggeredSeededTrafficDeliveryStreamsMatch)
             }(s, mesh, NodeId(src), plan[src]));
         }
     };
-    auto serialized = runUnderEngine(Mesh::Engine::Serialized, 4, 4, traffic, per);
-    EXPECT_EQ(digestOf(serialized), 0x7b973c8084d9a3dcull);
-    expectSameDeliveries(serialized,
-                         runUnderEngine(Mesh::Engine::Coalesced, 4, 4, traffic, per));
+    EXPECT_EQ(digestOf(runTraffic(4, 4, traffic, per)),
+              0x7b973c8084d9a3dcull);
 }
 
 } // namespace

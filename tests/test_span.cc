@@ -16,13 +16,12 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "base/span.hh"
 #include "base/timeseries.hh"
 #include "base/trace.hh"
-#include "net/mesh.hh"
+#include "net/packet.hh"
 #include "nic/shrimp_nic.hh"
 #include "sim/profile.hh"
 #include "vmmc/vmmc.hh"
@@ -84,24 +83,10 @@ class SpanTest : public ::testing::Test
         span::reset();
         sim::profile::reset();
         timeseries::reset();
-        net::Mesh::setDefaultEngine(net::Mesh::Engine::Auto);
         Tracer::instance().setEnabled(false);
         Tracer::instance().clear();
     }
 };
-
-/** The flow events of the captured trace as comparable tuples. */
-std::vector<std::tuple<int, Tick, std::string, std::uint64_t>>
-flowEvents()
-{
-    std::vector<std::tuple<int, Tick, std::string, std::uint64_t>> out;
-    for (const auto &e : Tracer::instance().events()) {
-        if (e.phase >= Phase::FlowStart)
-            out.emplace_back(int(e.phase), e.tick, std::string(e.name),
-                             e.id);
-    }
-    return out;
-}
 
 TEST_F(SpanTest, OffByDefaultEmitsNoFlowEvents)
 {
@@ -243,35 +228,11 @@ TEST_F(SpanTest, SpansArePurelyAdditiveToTheTrace)
     EXPECT_EQ(Tracer::instance().hash(), offHash);
 }
 
-TEST_F(SpanTest, SampledFlowChainsMatchAcrossMeshEngines)
-{
-    // Force each routing engine through the process-wide default (the
-    // knob behind the bench harness's --mesh-engine flag) and compare
-    // the sampled flow-event streams: the coalesced link-ledger engine
-    // must step the same spans through the same routers at the same
-    // ticks as the serialized coroutine path.
-    net::Mesh::setDefaultEngine(net::Mesh::Engine::Serialized);
-    span::setSampleEvery(1);
-    runWorkload();
-    const auto serialized = flowEvents();
-
-    Tracer::instance().clear();
-    span::reset();
-    net::Mesh::setDefaultEngine(net::Mesh::Engine::Coalesced);
-    span::setSampleEvery(1);
-    runWorkload();
-    const auto coalesced = flowEvents();
-
-    ASSERT_FALSE(serialized.empty());
-    EXPECT_EQ(coalesced, serialized);
-}
-
 TEST_F(SpanTest, CoalescedEngineKeepsItsGoldenHashWhenSamplingIsOff)
 {
-    // The additive guarantee holds per engine: with sampling off the
-    // coalesced engine's trace stream must be reproducible, and turning
-    // sampling on and back off must leave that baseline hash untouched.
-    net::Mesh::setDefaultEngine(net::Mesh::Engine::Coalesced);
+    // With sampling off the link-ledger engine's trace stream (per-hop
+    // "xfer" spans included) must be reproducible, and turning sampling
+    // on and back off must leave that baseline hash untouched.
     runWorkload();
     const std::uint64_t base = Tracer::instance().hash();
 
