@@ -20,8 +20,6 @@ applyEnvOverrides()
     // glibc can serve those buffers with per-machine mmap/munmap, which
     // refaults every page on every measurement (~6x wall clock on the
     // figure benches). Pin the threshold so they stay in the arena.
-    // analyze: shared(host-allocator tuning is per-process and applied
-    // once, before any shard exists)
     static bool alloc_tuned = false;
     if (!alloc_tuned) {
         alloc_tuned = true;

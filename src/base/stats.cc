@@ -121,8 +121,6 @@ Group::reset()
 StatRegistry &
 StatRegistry::global()
 {
-    // analyze: shared(deliberate machine-wide singleton; the sharded
-    // simulator gives each shard a registry slice merged at dump time)
     static StatRegistry registry;
     return registry;
 }

@@ -61,8 +61,6 @@ atExitDump()
 void
 installAtExit()
 {
-    // analyze: shared(std::atexit registration latch, per-process by
-    // nature)
     static bool installed = false;
     if (!installed) {
         installed = true;
@@ -81,8 +79,6 @@ sampleNow(Tick now, std::size_t pending)
 {
     gNextSample = now + gPeriod;
     if (gSamples.size() >= maxSamples) {
-        // analyze: shared(one-shot warning latch; worst case under
-        // shards is one duplicate warning line)
         static bool warned = false;
         if (!warned) {
             warned = true;

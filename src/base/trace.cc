@@ -20,8 +20,6 @@ bool gEnabled = false;
 Tracer &
 Tracer::instance()
 {
-    // analyze: shared(one trace stream per process; shards must funnel
-    // events through the cross-shard merge order before emitting)
     static Tracer tracer;
     return tracer;
 }
@@ -222,8 +220,6 @@ atExitDump()
 void
 installAtExit()
 {
-    // analyze: shared(std::atexit registration latch, per-process by
-    // nature)
     static bool installed = false;
     if (!installed) {
         installed = true;

@@ -23,8 +23,6 @@ setEnabled(bool enabled)
 SimChecker &
 SimChecker::instance()
 {
-    // analyze: shared(the invariant oracle is deliberately machine-wide:
-    // it cross-checks events from every node)
     static SimChecker checker;
     return checker;
 }

@@ -39,8 +39,6 @@ overlaps(PAddr lo1, PAddr hi1, PAddr lo2, PAddr hi2)
 RaceDetector &
 RaceDetector::instance()
 {
-    // analyze: shared(the race detector is deliberately machine-wide:
-    // happens-before edges span nodes by design)
     static RaceDetector d;
     return d;
 }

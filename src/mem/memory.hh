@@ -16,7 +16,6 @@
 #include <cstring>
 #include <string>
 
-#include "base/ownership.hh"
 #include "base/types.hh"
 #include "mem/zero_region.hh"
 #include "sim/sync.hh"
@@ -27,7 +26,7 @@ namespace shrimp::mem
 
 class Memory
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — one per node
 
   public:
     Memory(sim::EventQueue &queue, std::size_t bytes, std::size_t page_bytes,

@@ -26,14 +26,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "base/ownership.hh"
-
 namespace shrimp::mem
 {
 
 class ZeroRegion
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — backs one node's memory
 
   public:
     explicit ZeroRegion(std::size_t bytes);

@@ -109,7 +109,7 @@ Mesh::hops(NodeId a, NodeId b) const
     return hopsTbl_[std::size_t(a) * numNodes() + b];
 }
 
-// analyze: lookahead-entry(mesh) — the single fabric ingress; every hop
+// analyze: cross-node-entry — the single fabric ingress; every hop
 // charges its link occupancy before off-node visibility.
 void
 Mesh::inject(Packet pkt)
@@ -129,10 +129,8 @@ Mesh::inject(Packet pkt)
     Flight *f = allocFlight();
     f->pkt = std::move(pkt);
     f->cur = f->pkt.src;
-    // analyze: lookahead-charge(mesh) — per-hop link occupancy: the
-    // hop-done event fires no earlier than hopLatency + wire time.
     f->occ = hopLatency_ + units::transferTime(f->pkt.wireBytes(), linkBps_);
-    // analyze: lookahead(self-delivery stays on-node: src == dst)
+    // analyze: cross-node-exempt(self-delivery stays on-node: src == dst)
     if (f->cur == f->pkt.dst)
         ejectFlight(f);
     else

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "base/config.hh"
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "net/packet.hh"
@@ -37,10 +36,6 @@ namespace shrimp::net
 
 class Mesh
 {
-    SHRIMP_SHARD_SHARED(
-        "the interconnect fabric every node injects into; shards "
-        "synchronize at its link boundaries");
-
   public:
     Mesh(sim::Simulator &sim, const MachineConfig &cfg);
     ~Mesh();

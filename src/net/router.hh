@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "base/config.hh"
-#include "base/ownership.hh"
 #include "net/packet.hh"
 #include "sim/bus.hh"
 #include "sim/sync.hh"
@@ -36,9 +35,6 @@ constexpr int numDirs = 4;
 
 class Router
 {
-    SHRIMP_SHARD_SHARED(
-        "per-hop fabric state owned by the mesh, not by any node");
-
   public:
     Router(sim::EventQueue &queue, NodeId id, const MachineConfig &cfg);
     ~Router();
@@ -61,8 +57,8 @@ class Router
     void noteForwarded() { ++forwarded_; }
 
     /** Deliver @p pkt to the node attached to this router. */
-    // analyze: lookahead-effect(deliver) — the packet becomes visible
-    // to the destination node's NIC here.
+    // analyze: cross-node-deliver — the packet becomes visible to the
+    // destination node's NIC here.
     void eject(Packet pkt) { ejectQueue_.send(std::move(pkt)); }
 
     /** The attached NIC drains this queue. */

@@ -108,10 +108,6 @@ Packetizer::armTimer()
     // from inside the CPU's store (Scope, not retag: the rest of the
     // store stays attributed to the CPU).
     sim::profile::Scope prof(sim::profile::Subsys::Packetizer);
-    // The flush timer is the packetizer's own event: the shard that
-    // owns this node owns its event-queue slice too, so the capture
-    // never crosses a shard boundary.
-    // analyze: allow(event-capture-escape)
     sim_.queue().scheduleIn(cfg_.auCombineTimeout, [this, gen] {
         if (pending_ && gen == timerGen_) {
             ++timerFlushes_;

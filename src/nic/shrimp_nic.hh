@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "base/config.hh"
-#include "base/ownership.hh"
 #include "base/span.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
@@ -35,7 +34,7 @@ namespace shrimp::nic
 
 class ShrimpNic
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — one per node
 
   public:
     /**

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "base/config.hh"
-#include "base/ownership.hh"
 #include "sim/bus.hh"
 #include "sim/simulator.hh"
 #include "sim/sync.hh"
@@ -36,10 +35,6 @@ struct EtherFrame
 
 class EtherNet
 {
-    SHRIMP_SHARD_SHARED(
-        "one shared segment; its ~1 ms latency is the natural "
-        "cross-shard synchronization point");
-
   public:
     /** Port reserved for the SHRIMP daemons. */
     static constexpr std::uint16_t daemonPort = 1;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "base/config.hh"
-#include "base/ownership.hh"
 #include "net/mesh.hh"
 #include "node/ether.hh"
 #include "node/node.hh"
@@ -26,9 +25,6 @@ namespace shrimp::node
 
 class Machine
 {
-    SHRIMP_SHARD_SHARED(
-        "composition root: owns the mesh, the EtherNet and every node");
-
   public:
     explicit Machine(MachineConfig cfg = MachineConfig{});
 

@@ -140,24 +140,6 @@ Process::load32(VAddr addr)
     co_return peek32(addr);
 }
 
-sim::Task<std::uint32_t>
-Process::waitWord32(VAddr addr, std::function<bool(std::uint32_t)> pred)
-{
-    const MachineConfig &cfg = config();
-    for (;;) {
-        co_await node_.cpu().use(cfg.pollCheckCost);
-        std::uint32_t v = peek32(addr);
-        if (pred(v)) {
-            // The DMA that delivered the data invalidated the polled
-            // cache line; cached pages pay a miss on the detecting read.
-            if (as_.cacheMode(addr) != CacheMode::Uncached)
-                co_await sim::Delay{sim().queue(), cfg.wtReceivePenalty};
-            co_return v;
-        }
-        co_await sleepUntilWrite(addr, sizeof(std::uint32_t));
-    }
-}
-
 sim::Task<>
 Process::pollSleep()
 {
@@ -200,13 +182,13 @@ Process::detectPenalty(VAddr addr)
 sim::Task<std::uint32_t>
 Process::pollWord32(VAddr addr, std::uint32_t ref, bool want_equal)
 {
-    // Same loop as waitWord32 (kept in sync), minus the type-erased
-    // predicate — Eq/Ne cover every poll in the libraries.
     const MachineConfig &cfg = config();
     for (;;) {
         co_await node_.cpu().use(cfg.pollCheckCost);
         std::uint32_t v = peek32(addr);
         if ((v == ref) == want_equal) {
+            // The DMA that delivered the data invalidated the polled
+            // cache line; cached pages pay a miss on the detecting read.
             if (as_.cacheMode(addr) != CacheMode::Uncached)
                 co_await sim::Delay{sim().queue(), cfg.wtReceivePenalty};
             co_return v;

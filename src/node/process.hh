@@ -8,9 +8,10 @@
  *    destination page's cache mode, and pass each chunk to the NIC snoop
  *    logic (so stores to automatic-update-bound pages become packets,
  *    "eliminating the need for an explicit send operation");
- *  - waitWord32() is the polling receive primitive: it charges a poll
- *    cost per check and sleeps on memory write watchpoints in between,
- *    plus the cache-invalidation penalty when the polled page is cached;
+ *  - waitWord32Eq()/waitWord32Ne() are the polling receive primitives:
+ *    they charge a poll cost per check and sleep on memory write
+ *    watchpoints in between, plus the cache-invalidation penalty when
+ *    the polled page is cached;
  *  - peek()/poke() are untimed accessors for test setup and inspection.
  */
 
@@ -18,7 +19,6 @@
 #define SHRIMP_NODE_PROCESS_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "base/config.hh"
 #include "mem/address_space.hh"
@@ -76,18 +76,12 @@ class Process
     sim::Task<> store32(VAddr addr, std::uint32_t v);
     sim::Task<std::uint32_t> load32(VAddr addr);
 
-    /**
-     * Poll the word at @p addr until @p pred(value) holds; returns the
-     * satisfying value. This is the canonical receive-side wait.
-     */
-    sim::Task<std::uint32_t> waitWord32(
-        VAddr addr, std::function<bool(std::uint32_t)> pred);
-
-    /** Poll until the word differs from @p not_value. */
+    /** Poll until the word at @p addr differs from @p not_value;
+     *  returns the satisfying value. */
     sim::Task<std::uint32_t> waitWord32Ne(VAddr addr,
                                           std::uint32_t not_value);
 
-    /** Poll until the word equals @p value. */
+    /** Poll until the word at @p addr equals @p value. */
     sim::Task<std::uint32_t> waitWord32Eq(VAddr addr, std::uint32_t value);
 
     /**
@@ -109,8 +103,8 @@ class Process
     sim::Task<> detectPenalty(VAddr addr);
 
   private:
-    /** Shared loop behind waitWord32Eq/Ne: the equality/inequality
-     *  predicate is two scalars, not a std::function, because these run
+    /** The poll loop behind waitWord32Eq/Ne: the equality/inequality
+     *  predicate is two scalars, not a std::function, because it runs
      *  once per poll check on the hottest receive path. */
     sim::Task<std::uint32_t> pollWord32(VAddr addr, std::uint32_t ref,
                                         bool want_equal);

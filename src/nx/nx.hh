@@ -30,7 +30,6 @@
 #include <optional>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "nx/connection.hh"
@@ -60,7 +59,7 @@ struct RecvInfo
 
 class NxProc
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — one per NX process, on its node
 
   public:
     NxProc(vmmc::Endpoint &ep, int rank, NxSystem &system);
@@ -275,9 +274,6 @@ class NxProc
  */
 class NxSystem
 {
-    SHRIMP_SHARD_SHARED(
-        "rank-to-process wiring for the whole machine");
-
   public:
     /** @param nprocs number of NX processes (<= one per node by default
      *  placement; more than one per node is allowed). */

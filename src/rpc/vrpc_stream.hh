@@ -55,8 +55,6 @@ class VrpcTransport
     vmmc::Endpoint &ep_;
     std::size_t queueBytes_;
     std::unique_ptr<sock::ByteStream> stream_;
-    // analyze: shared(process-wide key namespace; sharding must carve
-    // per-shard key ranges out of this counter first)
     static std::uint32_t keyCounter_;
 };
 

@@ -38,8 +38,6 @@ atExitDump()
 void
 installAtExit()
 {
-    // analyze: shared(std::atexit registration latch, per-process by
-    // nature)
     static bool installed = false;
     if (!installed) {
         installed = true;

@@ -155,7 +155,7 @@ SocketLib::connect(int fd, NodeId node, std::uint16_t port)
     co_return 0;
 }
 
-// analyze: lookahead-entry(sock) — socket send: the library call is
+// analyze: cross-node-entry — socket send: the library call is
 // charged before the stream moves a byte.
 sim::Task<long>
 SocketLib::send(int fd, VAddr buf, std::size_t len)
@@ -167,7 +167,6 @@ SocketLib::send(int fd, VAddr buf, std::size_t len)
     span::stage(span::origin(track_, "sock.send", proc.sim().now()));
     stats_.counter("sends") += 1;
     stats_.counter("sentBytes") += len;
-    // analyze: lookahead-charge(sock) — socket library call overhead.
     co_await proc.compute(proc.config().libCallCost);
     Sock &s = sock(fd);
     if (s.state != State::Connected)

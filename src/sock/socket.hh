@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "sock/ring.hh"
@@ -40,7 +39,7 @@ struct SockOptions
 
 class SocketLib
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — one per process, on its node
 
   public:
     explicit SocketLib(vmmc::Endpoint &ep, SockOptions opt = SockOptions{});

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "node/ether.hh"
 #include "vmmc/vmmc.hh"
 
@@ -128,7 +127,7 @@ inout(void *p, std::size_t n)
 
 class SrpcClient
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — bound to one process's endpoint
 
   public:
     SrpcClient(vmmc::Endpoint &ep, const Interface &iface);
@@ -187,7 +186,7 @@ class ServerCall
 
 class SrpcServer
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — bound to one process's endpoint
 
   public:
     SrpcServer(vmmc::Endpoint &ep, const Interface &iface,

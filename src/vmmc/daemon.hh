@@ -19,7 +19,6 @@
 #include <map>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "node/ether.hh"
@@ -56,7 +55,7 @@ struct DaemonMsg
 
 class Daemon
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — one per node
 
   public:
     Daemon(node::Node &node, node::EtherNet &ether);

@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/ownership.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "node/machine.hh"
@@ -38,7 +37,7 @@ namespace shrimp::vmmc
 
 class Endpoint
 {
-    SHRIMP_SHARD_OWNED;
+    // analyze: node-owned — one per process, on its node
 
   public:
     Endpoint(node::Process &proc, Daemon &daemon);
@@ -167,9 +166,6 @@ class Endpoint
  */
 class System
 {
-    SHRIMP_SHARD_SHARED(
-        "connection broker spanning every node's daemon");
-
   public:
     explicit System(MachineConfig cfg = MachineConfig{});
 

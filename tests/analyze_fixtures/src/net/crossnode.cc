@@ -1,16 +1,11 @@
 /**
  * @file
- * Lookahead-prover fixtures: one seeded violation and one near-miss
+ * Cross-node timing fixtures: one seeded violation and one near-miss
  * negative per rule (see test_analyze.cc for the expected findings).
  *
- *  - zero-lookahead-path, no-gate shape: edge class `fixlane` has an
- *    entry but no lookahead-charge gate anywhere (Lane::push charges
- *    time, but nothing *proves* it). `fixgood` is the near miss: same
- *    shape plus a gate with a positive fold.
- *  - zero-lookahead-path, zero-gate shape: `fixzero`'s gate folds to a
- *    literal 0, collapsing the class bound.
- *  - zero-lookahead-path, effect shape: Lane::shove makes a deliver
- *    effect visible before charging; shoveCharged pays first.
+ *  - cross-node-deliver-uncharged: Lane::shove makes a deliver effect
+ *    visible before charging; shoveCharged pays first, and Lane::loop
+ *    reaches Lane::land's effect only through an exempt call edge.
  *  - cross-node-wake-uncharged: Hub::route wakes a waiter it received
  *    by reference with nothing charged yet; Hub::flush charges first,
  *    and waking a *member* condition is never cross-node.
@@ -51,11 +46,10 @@ class LaQueue
 class Lane
 {
   public:
-    Task<> push();
-    Task<> pull();
-    Task<> poke();
     Task<> shove();
     Task<> shoveCharged();
+    Task<> loop();
+    void land();
 
   private:
     LaBus bus_;
@@ -85,64 +79,54 @@ class Ticker
     LaQueue queue_;
 };
 
-// analyze: lookahead-entry(fixlane) — seeded: the class never declares
-// a lookahead-charge gate, so no bound is proven.
-Task<>
-Lane::push()
-{
-    co_await bus_.transfer(64, 40);
-}
-
-// analyze: lookahead-entry(fixgood)
-Task<>
-Lane::pull()
-{
-    // analyze: lookahead-charge(fixgood) — near miss: positive fold.
-    co_await bus_.transfer(64, 40);
-}
-
-// analyze: lookahead-entry(fixzero)
-Task<>
-Lane::poke()
-{
-    // analyze: lookahead-charge(fixzero) — seeded: folds to 0 ns.
-    co_await bus_.transfer(64, 0);
-}
-
-// analyze: lookahead-entry(fixeffect)
+// analyze: cross-node-entry
 Task<>
 Lane::shove()
 {
-    // analyze: lookahead-effect(deliver) — seeded: visible at 0 charge.
+    // analyze: cross-node-deliver — seeded: visible at 0 charge.
     out_.send(1);
-    // analyze: lookahead-charge(fixeffect)
     co_await bus_.transfer(64, 40);
 }
 
-// analyze: lookahead-entry(fixeffect)
+// analyze: cross-node-entry
 Task<>
 Lane::shoveCharged()
 {
     co_await bus_.transfer(64, 40);
-    // analyze: lookahead-effect(deliver) — negative: charged already.
+    // analyze: cross-node-deliver — negative: charged already.
     out_.send(2);
 }
 
-// analyze: lookahead-entry(fixwake)
+// analyze: cross-node-entry
+Task<>
+Lane::loop()
+{
+    // analyze: cross-node-exempt(loopback: the packet stays on-node)
+    land();
+    co_await bus_.transfer(64, 40);
+}
+
+void
+Lane::land()
+{
+    // analyze: cross-node-deliver — negative: reached only through the
+    // exempt edge in Lane::loop.
+    out_.send(3);
+}
+
+// analyze: cross-node-entry
 Task<>
 Hub::route(LaCond &peer)
 {
     peer.notifyAll(); // seeded: foreign waiter woken at 0 charge
     done_.notifyAll(); // negative: member condition, never cross-node
-    // analyze: lookahead-charge(fixwake)
     co_await bus_.transfer(64, 40);
 }
 
-// analyze: lookahead-entry(fixwake)
+// analyze: cross-node-entry
 Task<>
 Hub::flush(LaCond &peer)
 {
-    // analyze: lookahead-charge(fixwake)
     co_await bus_.transfer(64, 40);
     peer.notifyAll(); // negative: a full transfer is charged first
 }

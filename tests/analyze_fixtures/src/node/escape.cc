@@ -1,8 +1,9 @@
 // cross-node-escape fixtures: three escape shapes (store into a
 // foreign node-owned object, address into a carrier field, address
-// passed to a foreign object's method) with an own-field store and a
-// value copy as near-miss negatives.
-#include "node/shard.hh"
+// passed to a foreign object's method), the store shape again through
+// a class seeded only by its node-owned annotation, and an own-field
+// store, a value copy and an unseeded class as near-miss negatives.
+#include "node/owned.hh"
 
 namespace fix
 {
@@ -36,6 +37,18 @@ void
 Peer::stash(Buf *b)
 {
     loan_ = b;
+}
+
+void
+Port::pair(Port &other)
+{
+    other.peer_ = this; // escape: Port is node-owned by its seed
+}
+
+void
+Loose::pair(Loose &other)
+{
+    other.peer_ = this; // negative: Loose is not node-owned
 }
 
 } // namespace fix

@@ -18,8 +18,7 @@
 
 #include "analyzer.hh"
 #include "baseline.hh"
-#include "lookahead.hh"
-#include "ownership.hh"
+#include "rules.hh"
 #include "sarif.hh"
 
 namespace shrimp::analyze
@@ -51,10 +50,12 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
 
     const std::multiset<std::string> want = {
         "charged-time|Engine::deliver",
+        "cross-node-deliver-uncharged|deliver/Lane::shove/Lane::shove",
         "cross-node-escape|arg/Peer::send/stash",
-        "cross-node-wake-uncharged|lookahead/wake/Hub::route/peer.notifyAll",
         "cross-node-escape|carrier/Peer::fill/window",
         "cross-node-escape|store/Peer::link/other.back_",
+        "cross-node-escape|store/Port::pair/other.peer_",
+        "cross-node-wake-uncharged|wake/Hub::route/peer.notifyAll",
         "deadlock|order/Pair::a_->Pair::b_",
         "deadlock|order/Pair::b_->Pair::a_",
         "deadlock|reacquire/Pair::oops/Pair::a_",
@@ -71,15 +72,10 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
         "dropped-task|runsNothing/pump/stored",
         "dropped-task|runsNothing/tick",
         "dropped-task|stockpiles/container/backlog",
-        "event-capture-escape|capture/Pump::arm/scheduleIn",
         "layering|cycle/base/loop_a.hh->base/loop_b.hh->base/loop_a.hh",
         "layering|mem/backdoor.hh->net/wire.hh",
-        "shared-mutable-static|static/global/reg",
         "suspend-under-exclusion|badCritical/gate_",
-        "zero-delay-cycle|lookahead/cycle/Ticker::arm/Ticker::arm",
-        "zero-lookahead-path|lookahead/effect/Lane::shove/Lane::shove",
-        "zero-lookahead-path|lookahead/no-gate/fixlane/Lane::push",
-        "zero-lookahead-path|lookahead/zero-gate/fixzero/Lane::poke",
+        "zero-delay-cycle|cycle/Ticker::arm/Ticker::arm",
     };
     EXPECT_EQ(keys(findings), want) << dump(findings);
 }
@@ -90,13 +86,9 @@ TEST(Analyze, FixtureCorpusCoversEveryRule)
     std::set<std::string> rules;
     for (const Finding &f : findings)
         rules.insert(f.rule);
-    const std::set<std::string> want = {
-        "charged-time", "cross-node-escape", "cross-node-wake-uncharged",
-        "deadlock", "determinism", "determinism-taint", "dropped-task",
-        "event-capture-escape", "layering", "shared-mutable-static",
-        "suspend-under-exclusion", "zero-delay-cycle",
-        "zero-lookahead-path",
-    };
+    std::set<std::string> want;
+    for (const Rule &r : ruleTable())
+        want.insert(r.name);
     EXPECT_EQ(rules, want) << dump(findings);
 }
 
@@ -221,29 +213,6 @@ TEST(Analyze, CacheInvalidatesWhenAFileChanges)
     fs::remove_all(cache);
 }
 
-TEST(Analyze, OwnershipMapClassifiesTheFixtureLattice)
-{
-    const Project p = loadProject(SHRIMP_ANALYZE_FIXTURES);
-    const auto &cls = p.ownership.classes;
-
-    auto verdict = [&](const std::string &name) {
-        auto it = cls.find(name);
-        return it == cls.end()
-                   ? std::string("missing")
-                   : std::string(ownName(it->second.verdict));
-    };
-    EXPECT_EQ(verdict("Node"), "node-owned");
-    // Buf is node-owned transitively: Peer holds it by value.
-    EXPECT_EQ(verdict("Buf"), "node-owned");
-    // Config is reached only through `const Config &Node::cfg_`.
-    EXPECT_EQ(verdict("Config"), "shared-ro");
-    // The seeded escapes demote Peer and Pump to the lattice bottom.
-    EXPECT_EQ(verdict("Peer"), "escapes");
-    EXPECT_EQ(verdict("Pump"), "escapes");
-    ASSERT_NE(cls.find("Packet"), cls.end());
-    EXPECT_TRUE(cls.at("Packet").carrier);
-}
-
 TEST(Analyze, JobsOneAndManyProduceIdenticalOutput)
 {
     const auto one = analyzeTrees({SHRIMP_ANALYZE_FIXTURES}, "", 1);
@@ -251,12 +220,6 @@ TEST(Analyze, JobsOneAndManyProduceIdenticalOutput)
     const auto hw = analyzeTrees({SHRIMP_ANALYZE_FIXTURES}, "", 0);
     EXPECT_EQ(dump(many), dump(one));
     EXPECT_EQ(dump(hw), dump(one));
-
-    // The ownership and lookahead reports must be byte-identical too.
-    EXPECT_EQ(ownershipJson(loadProject({SHRIMP_ANALYZE_FIXTURES}, "", 4)),
-              ownershipJson(loadProject({SHRIMP_ANALYZE_FIXTURES}, "", 1)));
-    EXPECT_EQ(lookaheadJson(loadProject({SHRIMP_ANALYZE_FIXTURES}, "", 4)),
-              lookaheadJson(loadProject({SHRIMP_ANALYZE_FIXTURES}, "", 1)));
 }
 
 TEST(Analyze, BuildDirsAndDotDirsAreSkipped)
@@ -465,6 +428,21 @@ TEST(Analyze, SarifReportMatchesTheSarif210Structure)
         EXPECT_FALSE(r["shortDescription"]["text"].str.empty());
         ruleIds.push_back(r["id"].str);
     }
+    // One descriptor per rule of the table, in table order.
+    const std::vector<std::string> wantIds = {
+        "dropped-task",
+        "suspend-under-exclusion",
+        "determinism",
+        "layering",
+        "charged-time",
+        "deadlock",
+        "determinism-taint",
+        "cross-node-escape",
+        "cross-node-deliver-uncharged",
+        "cross-node-wake-uncharged",
+        "zero-delay-cycle",
+    };
+    EXPECT_EQ(ruleIds, wantIds);
 
     ASSERT_EQ(run["results"].kind, Json::Arr);
     ASSERT_EQ(run["results"].arr.size(), findings.size());
@@ -503,103 +481,7 @@ TEST(Analyze, SarifDriverDescribesTheOwnershipRules)
     for (const Json &r :
          doc["runs"].at(0)["tool"]["driver"]["rules"].arr)
         ids.insert(r["id"].str);
-    EXPECT_EQ(ids.count("shared-mutable-static"), 1u);
     EXPECT_EQ(ids.count("cross-node-escape"), 1u);
-    EXPECT_EQ(ids.count("event-capture-escape"), 1u);
-}
-
-TEST(Analyze, LookaheadMapProvesTheFixtureBounds)
-{
-    const Project p = loadProject(SHRIMP_ANALYZE_FIXTURES);
-    const auto &cls = p.lookahead.classes;
-
-    // fixgood: entry + gate folding transfer(64, 40) — proven 40 ns.
-    ASSERT_NE(cls.find("fixgood"), cls.end());
-    EXPECT_EQ(cls.at("fixgood").boundNs, 40);
-    EXPECT_TRUE(cls.at("fixgood").positive);
-
-    // fixlane: entry but no gate — nothing proven.
-    ASSERT_NE(cls.find("fixlane"), cls.end());
-    EXPECT_FALSE(cls.at("fixlane").positive);
-    EXPECT_TRUE(cls.at("fixlane").gates.empty());
-
-    // fixzero: the gate folds to a literal 0 and collapses the bound.
-    ASSERT_NE(cls.find("fixzero"), cls.end());
-    EXPECT_EQ(cls.at("fixzero").boundNs, 0);
-    EXPECT_FALSE(cls.at("fixzero").positive);
-
-    // fixwake: both entries gate on the same 40 ns transfer.
-    ASSERT_NE(cls.find("fixwake"), cls.end());
-    EXPECT_EQ(cls.at("fixwake").boundNs, 40);
-    EXPECT_EQ(cls.at("fixwake").entries.size(), 2u);
-}
-
-TEST(Analyze, LookaheadReportIsWellFormedJson)
-{
-    const Project p = loadProject(SHRIMP_ANALYZE_FIXTURES);
-    const std::string text = lookaheadJson(p);
-
-    JsonParser jp{text};
-    const Json doc = jp.value();
-    jp.ws();
-    ASSERT_TRUE(jp.ok && jp.i == text.size())
-        << "lookahead report is not well-formed JSON";
-    EXPECT_EQ(doc["tool"].str, "shrimp_analyze");
-    EXPECT_EQ(doc["report"].str, "lookahead");
-
-    ASSERT_EQ(doc["classes"].kind, Json::Arr);
-    EXPECT_EQ(doc["classes"].arr.size(), p.lookahead.classes.size());
-    bool sawGood = false;
-    for (const Json &c : doc["classes"].arr) {
-        EXPECT_FALSE(c["class"].str.empty());
-        if (c["class"].str == "fixgood") {
-            EXPECT_EQ(int(c["boundNs"].num), 40);
-            EXPECT_TRUE(c["positive"].b);
-            ASSERT_EQ(c["gates"].kind, Json::Arr);
-            ASSERT_EQ(c["gates"].arr.size(), 1u);
-            EXPECT_EQ(c["gates"].at(0)["fn"].str, "Lane::pull");
-            EXPECT_NE(c["gates"].at(0)["why"].str.find("transfer"),
-                      std::string::npos);
-            sawGood = true;
-        }
-    }
-    EXPECT_TRUE(sawGood);
-
-    // Every seeded violation surfaces in the report with its rule.
-    ASSERT_EQ(doc["violations"].kind, Json::Arr);
-    std::set<std::string> rules;
-    for (const Json &v : doc["violations"].arr) {
-        EXPECT_FALSE(v["fingerprint"].str.empty());
-        EXPECT_FALSE(v["message"].str.empty());
-        rules.insert(v["rule"].str);
-    }
-    EXPECT_EQ(rules.count("zero-lookahead-path"), 1u);
-    EXPECT_EQ(rules.count("zero-delay-cycle"), 1u);
-    EXPECT_EQ(rules.count("cross-node-wake-uncharged"), 1u);
-}
-
-TEST(Analyze, LookaheadPinsGateProvenBounds)
-{
-    const Project p = loadProject(SHRIMP_ANALYZE_FIXTURES);
-    std::string err;
-
-    // A pin at (or below) the proven bound passes.
-    EXPECT_TRUE(checkLookaheadPins(p, {"fixgood:40"}, err)) << err;
-    EXPECT_TRUE(checkLookaheadPins(p, {"fixgood:1", "fixwake:40"}, err))
-        << err;
-
-    // A pin above the proven bound fails — this is the CI regression
-    // gate: an edit that drops a gate's fold below the pin must fail.
-    EXPECT_FALSE(checkLookaheadPins(p, {"fixgood:41"}, err));
-    EXPECT_NE(err.find("fixgood"), std::string::npos);
-
-    // A class whose bound collapsed to zero fails any positive pin.
-    EXPECT_FALSE(checkLookaheadPins(p, {"fixzero:1"}, err));
-
-    // Unannotated classes and malformed pins fail loudly.
-    EXPECT_FALSE(checkLookaheadPins(p, {"no-such-class:1"}, err));
-    EXPECT_FALSE(checkLookaheadPins(p, {"fixgood"}, err));
-    EXPECT_FALSE(checkLookaheadPins(p, {"fixgood:xyz"}, err));
 }
 
 TEST(Analyze, SarifDriverDescribesTheLookaheadRules)
@@ -614,47 +496,9 @@ TEST(Analyze, SarifDriverDescribesTheLookaheadRules)
     for (const Json &r :
          doc["runs"].at(0)["tool"]["driver"]["rules"].arr)
         ids.insert(r["id"].str);
-    EXPECT_EQ(ids.count("zero-lookahead-path"), 1u);
-    EXPECT_EQ(ids.count("zero-delay-cycle"), 1u);
+    EXPECT_EQ(ids.count("cross-node-deliver-uncharged"), 1u);
     EXPECT_EQ(ids.count("cross-node-wake-uncharged"), 1u);
-}
-
-TEST(Analyze, OwnershipReportIsWellFormedAndMarksAllowedEdges)
-{
-    const Project p = loadProject(SHRIMP_ANALYZE_FIXTURES);
-    const std::string text = ownershipJson(p);
-
-    JsonParser jp{text};
-    const Json doc = jp.value();
-    jp.ws();
-    ASSERT_TRUE(jp.ok && jp.i == text.size())
-        << "ownership report is not well-formed JSON";
-    EXPECT_EQ(doc["tool"].str, "shrimp_analyze");
-    EXPECT_EQ(doc["report"].str, "shard-ownership");
-    EXPECT_EQ(doc["root"].str, "Node");
-
-    ASSERT_EQ(doc["classes"].kind, Json::Arr);
-    EXPECT_EQ(doc["classes"].arr.size(), p.ownership.classes.size());
-
-    // Allowlisted edges stay visible in the report (flagged allowed)
-    // while denied ones surface as findings.
-    ASSERT_EQ(doc["escapes"].kind, Json::Arr);
-    bool sawAllowed = false;
-    bool sawDenied = false;
-    for (const Json &e : doc["escapes"].arr) {
-        EXPECT_FALSE(e["rule"].str.empty());
-        EXPECT_FALSE(e["fingerprint"].str.empty());
-        if (e["fingerprint"].str == "static/allowedGlobal/allowed") {
-            EXPECT_TRUE(e["allowed"].b);
-            sawAllowed = true;
-        }
-        if (e["fingerprint"].str == "static/global/reg") {
-            EXPECT_FALSE(e["allowed"].b);
-            sawDenied = true;
-        }
-    }
-    EXPECT_TRUE(sawAllowed);
-    EXPECT_TRUE(sawDenied);
+    EXPECT_EQ(ids.count("zero-delay-cycle"), 1u);
 }
 
 } // namespace

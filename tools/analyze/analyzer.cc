@@ -13,8 +13,6 @@
 #include "cache.hh"
 #include "dataflow.hh"
 #include "lexer.hh"
-#include "lookahead.hh"
-#include "ownership.hh"
 #include "parse.hh"
 #include "rules.hh"
 #include "types.hh"
@@ -210,8 +208,6 @@ loadProject(const std::vector<std::string> &roots,
     buildTaskIndex(p);
     buildTypeIndex(p);
     buildSummaries(p);
-    buildOwnership(p);
-    buildLookahead(p);
     return p;
 }
 
@@ -221,23 +217,73 @@ loadProject(const std::string &includeRoot)
     return loadProject(std::vector<std::string>{includeRoot}, "", 1);
 }
 
+const std::vector<Rule> &
+ruleTable()
+{
+    static const std::vector<Rule> table = {
+        {"dropped-task",
+         "a call to a Task-returning function whose result is neither "
+         "co_awaited, spawned, returned, nor (if stored) ever consumed: "
+         "a simulated activity that silently never runs",
+         ruleDroppedTask},
+        {"suspend-under-exclusion",
+         "a co_await between a lock/bus acquire() and its release() in "
+         "the same body: an interleaving point inside a region the code "
+         "treats as exclusively held",
+         ruleSuspendUnderExclusion},
+        {"determinism",
+         "wall-clock/PRNG calls or iteration over pointer-keyed "
+         "containers in src/sim and src/check: host-address-dependent "
+         "order feeding simulated state or traces",
+         ruleDeterminism},
+        {"layering",
+         "an include-graph cycle, or an include that climbs the layer "
+         "order base < check/sim < mem < net/nic < node < vmmc < "
+         "libraries",
+         ruleLayering},
+        {"charged-time",
+         "a public Task-returning entry point in nic/ or mem/ that "
+         "never charges CPU/bus time, directly or through its callees, "
+         "and is not annotated `analyze: free`",
+         ruleChargedTime},
+        {"deadlock",
+         "a lock-order cycle, a non-reentrant re-acquire, or a co_await "
+         "while a lock acquired by an earlier callee is still held",
+         ruleDeadlock},
+        {"determinism-taint",
+         "a wall-clock/PRNG value flowing into event scheduling: "
+         "schedule(), scheduleIn/At(), Delay{...} or a parameter that "
+         "provably reaches one",
+         ruleTaint},
+        {"cross-node-escape",
+         "the address of node-owned state stored into a carrier "
+         "(net::Packet) field or a foreign node's object, or passed to "
+         "a foreign object's method",
+         ruleCrossNodeEscape},
+        {"cross-node-deliver-uncharged",
+         "a `cross-node-deliver` effect reachable from a "
+         "`cross-node-entry` with 0 charged simulated time",
+         ruleCrossNodeDeliverUncharged},
+        {"cross-node-wake-uncharged",
+         "notifyAll/notifyRange/notifyWrite on a parameter-rooted "
+         "waiter reachable from a `cross-node-entry` with 0 charged "
+         "simulated time",
+         ruleCrossNodeWakeUncharged},
+        {"zero-delay-cycle",
+         "a provably-zero scheduleIn whose target reaches the scheduler "
+         "back through zero-charge call edges: an event chain that "
+         "never advances simulated time",
+         ruleZeroDelayCycle},
+    };
+    return table;
+}
+
 std::vector<Finding>
 runRules(const Project &p)
 {
     std::vector<Finding> out;
-    ruleDroppedTask(p, out);
-    ruleSuspendUnderExclusion(p, out);
-    ruleDeterminism(p, out);
-    ruleLayering(p, out);
-    ruleChargedTime(p, out);
-    ruleDeadlock(p, out);
-    ruleTaint(p, out);
-    ruleSharedMutableStatic(p, out);
-    ruleCrossNodeEscape(p, out);
-    ruleEventCaptureEscape(p, out);
-    ruleZeroLookaheadPath(p, out);
-    ruleZeroDelayCycle(p, out);
-    ruleCrossNodeWakeUncharged(p, out);
+    for (const Rule &r : ruleTable())
+        r.run(p, out);
     std::sort(out.begin(), out.end(),
               [](const Finding &a, const Finding &b) {
                   if (a.file != b.file)

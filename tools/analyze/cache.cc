@@ -14,8 +14,10 @@ namespace
 /** Bump when any serialized structure changes shape.
  *  v2: `analyze: shared(...)` annotations join the mined facts.
  *  v3: annotations carry their parenthesized argument (the lookahead
- *      vocabulary needs the edge-class / reason text). */
-constexpr int kFormatVersion = 3;
+ *      vocabulary needs the edge-class / reason text).
+ *  v4: annotations drop the argument again; `node-owned` and the
+ *      `cross-node-*` vocabulary replace `shared` and `lookahead-*`. */
+constexpr int kFormatVersion = 4;
 
 /** "-" stands in for an empty string in fixed (non-trailing) fields. */
 std::string
@@ -82,7 +84,7 @@ storeCachedFile(const std::string &path, const std::string &hash,
         o << "t " << int(t.kind) << " " << t.line << " " << t.text
           << "\n";
     for (const Annotation &a : f.annotations)
-        o << "a " << a.line << " " << a.rule << " " << a.arg << "\n";
+        o << "a " << a.line << " " << a.rule << "\n";
     for (const auto &[line, inc] : f.includes)
         o << "i " << line << " " << inc << "\n";
     for (const ClassDef &c : f.classes)
@@ -157,7 +159,7 @@ loadCachedFile(const std::string &path, const std::string &hash,
             Annotation a;
             if (!(is >> a.line >> a.rule))
                 return false;
-            a.arg = restOfLine(is);
+            restOfLine(is);
             tmp.annotations.push_back(std::move(a));
         } else if (tag == "i") {
             int line = 0;

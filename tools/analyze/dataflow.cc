@@ -12,10 +12,11 @@ namespace shrimp::analyze
 namespace
 {
 
-/** Primitives that charge simulated time when called/awaited (kept in
- *  sync with rule_charged.cc). */
-const std::set<std::string> chargePrims = {
-    "Delay", "use", "transfer", "chargeOp", "compute", "copy",
+/** Charge primitive -> index of its latency argument in ticks, or -1
+ *  when no argument is one (copy's is a byte count). */
+const std::map<std::string, int> chargePrims = {
+    {"Delay", 1},    {"use", 0},     {"transfer", 1},
+    {"chargeOp", -1}, {"compute", 0}, {"copy", -1},
 };
 
 const std::set<std::string> nondetSources = {
@@ -82,6 +83,19 @@ bool
 isScheduleSink(const std::string &name)
 {
     return scheduleSinks.count(name) != 0;
+}
+
+bool
+isChargePrimitive(const std::string &name)
+{
+    return chargePrims.count(name) != 0;
+}
+
+int
+chargeLatencyArg(const std::string &name)
+{
+    const auto it = chargePrims.find(name);
+    return it == chargePrims.end() ? -1 : it->second;
 }
 
 std::vector<LockOp>
@@ -161,7 +175,7 @@ buildSummaries(Project &p)
                 const Token &t = toks[k];
                 if (t.is("co_await"))
                     fa.coAwait = true;
-                else if (t.ident() && chargePrims.count(t.text) != 0 &&
+                else if (t.ident() && isChargePrimitive(t.text) &&
                          k + 1 < fn.bodyEnd &&
                          (toks[k + 1].is("(") || toks[k + 1].is("{")))
                     fa.charge = true;

@@ -58,6 +58,17 @@ bool isNondetSource(const std::string &name);
  *  scheduleAt/Delay)? */
 bool isScheduleSink(const std::string &name);
 
+/** Is @p name a primitive that charges simulated time when called or
+ *  awaited (Delay, Cpu::use, Bus::transfer, Xdr::chargeOp, compute,
+ *  copy)? The one list the summaries, charged-time and the cross-node
+ *  rules share. */
+bool isChargePrimitive(const std::string &name);
+
+/** Index of charge primitive @p name's latency argument in ticks
+ *  (Delay{q, ns}, use(ns), transfer(bytes, ns), compute(ns)); -1 when
+ *  @p name is not a charge primitive or has no such argument. */
+int chargeLatencyArg(const std::string &name);
+
 } // namespace shrimp::analyze
 
 #endif // SHRIMP_TOOLS_ANALYZE_DATAFLOW_HH

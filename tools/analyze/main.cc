@@ -27,23 +27,9 @@
  *                          (0 = hardware concurrency, the default).
  *                          Findings and reports are byte-identical
  *                          for every N.
- *     --ownership-report=FILE
- *                          write the shard-ownership JSON (per-class
- *                          lattice verdicts + escape edges) — the
- *                          partition plan for ROADMAP item 2.
- *     --lookahead-report=FILE
- *                          write the lookahead JSON (per-edge-class
- *                          proven minimum simulated-time charge) —
- *                          the null-message synchronizer's input.
- *     --lookahead-pin=CLASS:NS
- *                          (repeatable) fail unless edge class CLASS
- *                          is proven positive with a bound of at
- *                          least NS nanoseconds — the CI gate that
- *                          catches a refactor silently shrinking
- *                          lookahead.
  *
- * Exit status: 0 clean (all findings baselined), 1 fresh findings or
- * a failed lookahead pin, 2 usage or I/O error.
+ * Exit status: 0 clean (all findings baselined), 1 fresh findings,
+ * 2 usage or I/O error.
  */
 
 #include <filesystem>
@@ -56,8 +42,6 @@
 
 #include "analyzer.hh"
 #include "baseline.hh"
-#include "lookahead.hh"
-#include "ownership.hh"
 #include "sarif.hh"
 
 namespace
@@ -73,9 +57,6 @@ run(int argc, char **argv)
     std::string reportPath;
     std::string sarifPath;
     std::string cacheDir;
-    std::string ownershipPath;
-    std::string lookaheadPath;
-    std::vector<std::string> lookaheadPins;
     int jobs = 0; // 0 = hardware concurrency
     bool updateBaseline = false;
 
@@ -91,12 +72,6 @@ run(int argc, char **argv)
             sarifPath = arg.substr(8);
         else if (arg.rfind("--cache=", 0) == 0)
             cacheDir = arg.substr(8);
-        else if (arg.rfind("--ownership-report=", 0) == 0)
-            ownershipPath = arg.substr(19);
-        else if (arg.rfind("--lookahead-report=", 0) == 0)
-            lookaheadPath = arg.substr(19);
-        else if (arg.rfind("--lookahead-pin=", 0) == 0)
-            lookaheadPins.push_back(arg.substr(16));
         else if (arg.rfind("--jobs=", 0) == 0) {
             try {
                 jobs = std::stoi(arg.substr(7));
@@ -131,35 +106,6 @@ run(int argc, char **argv)
 
     const Project proj = loadProject(roots, cacheDir, jobs);
     const std::vector<Finding> findings = runRules(proj);
-
-    if (!ownershipPath.empty()) {
-        std::ofstream out(ownershipPath);
-        if (!out) {
-            std::cerr << "shrimp_analyze: cannot write "
-                      << ownershipPath << "\n";
-            return 2;
-        }
-        out << ownershipJson(proj);
-    }
-
-    if (!lookaheadPath.empty()) {
-        std::ofstream out(lookaheadPath);
-        if (!out) {
-            std::cerr << "shrimp_analyze: cannot write "
-                      << lookaheadPath << "\n";
-            return 2;
-        }
-        out << lookaheadJson(proj);
-    }
-
-    bool pinsOk = true;
-    {
-        std::string pinErr;
-        if (!checkLookaheadPins(proj, lookaheadPins, pinErr)) {
-            std::cerr << "shrimp_analyze: " << pinErr << "\n";
-            pinsOk = false;
-        }
-    }
 
     if (!sarifPath.empty()) {
         std::set<std::string> labeled;
@@ -224,7 +170,7 @@ run(int argc, char **argv)
         std::ofstream out(reportPath);
         out << report.str();
     }
-    return r.fresh.empty() && pinsOk ? 0 : 1;
+    return r.fresh.empty() ? 0 : 1;
 }
 
 } // namespace

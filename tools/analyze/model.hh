@@ -32,17 +32,16 @@ namespace shrimp::analyze
 {
 
 /** One `// analyze: allow(rule)` (or `analyze: free`) annotation.
- *  Suppresses findings of @p rule on its own line and the next line
- *  (so an annotation can sit above the declaration it excuses).
+ *  Suppresses findings of @p rule on its own line and the three lines
+ *  below (so an annotation can sit above the declaration it excuses).
  *
- *  The lookahead vocabulary (lookahead.hh) reuses this record with
- *  rule = "lookahead-entry" / "lookahead-charge" / "lookahead-effect"
- *  / "lookahead" and the parenthesized argument preserved in arg. */
+ *  The rest of the vocabulary reuses this record with rule =
+ *  "node-owned" (rule_escape.cc) or "cross-node-entry" /
+ *  "cross-node-deliver" / "cross-node-exempt" (rule_crossnode.cc). */
 struct Annotation
 {
     int line = 0;
     std::string rule; //!< rule name; "free" is an alias for charged-time
-    std::string arg;  //!< parenthesized argument text ("" if none)
 };
 
 /** One function parameter with its declared type (normalized text). */
@@ -170,113 +169,6 @@ struct FnSummary
     std::set<std::string> releases;
 };
 
-/** Ownership lattice verdicts (ownership.cc). Order is meaningful
- *  only for display; classification precedence is documented in
- *  DESIGN.md §12. */
-enum class Own
-{
-    Unknown,       //!< defined in-tree but not reachable from Node
-    NodeOwned,     //!< reachable from node::Node by value — shardable
-    SharedRO,      //!< reached only through const refs/pointers
-    SharedMutable, //!< mutable cross-node state (or annotated shared)
-    Escapes,       //!< NodeOwned, but its address leaks across nodes
-};
-
-/** Lattice name as it appears in reports ("node-owned", ...). */
-const char *ownName(Own o);
-
-/** Per-class ownership verdict with provenance. */
-struct ClassVerdict
-{
-    Own verdict = Own::Unknown;
-    std::string why;  //!< "value field Node::mem_", annotation, escape
-    std::string file; //!< defining file (first definition seen)
-    int line = 0;
-    bool carrier = false; //!< message type crossing nodes by value
-    bool annotatedOwned = false;  //!< SHRIMP_SHARD_OWNED in the body
-    bool annotatedShared = false; //!< SHRIMP_SHARD_SHARED(...) in body
-};
-
-/** One escape edge: node-owned (or static) state whose address leaves
- *  its ownership region. `allowed` edges are annotation-suppressed —
- *  they appear in the ownership report but produce no finding. */
-struct EscapeEdge
-{
-    std::string rule;  //!< shared-mutable-static / cross-node-escape /
-                       //!< event-capture-escape
-    std::string scope; //!< enclosing function key or class, or ""
-    std::string what;  //!< the escaping state ("this", "Peer::buf_")
-    std::string dest;  //!< where it goes ("Packet::window", callee)
-    std::string file;
-    int line = 0;
-    std::string fingerprint;
-    std::string message;
-    bool allowed = false;
-};
-
-/** Output of buildOwnership(): per-class verdicts + escape edges. */
-struct OwnershipMap
-{
-    std::map<std::string, ClassVerdict> classes;
-    std::vector<EscapeEdge> edges; //!< deterministic detection order
-
-    bool nodeOwned(const std::string &cls) const;
-};
-
-/** One `analyze: lookahead-charge(CLASS)` gate site with its folded
- *  minimum simulated-time charge (lookahead.cc). */
-struct LookaheadGate
-{
-    std::string cls;   //!< edge-class name the gate charges for
-    std::string fnKey; //!< enclosing function summary key
-    std::string file;
-    int line = 0;
-    long long boundNs = 0; //!< folded lower bound of the site's charge
-    std::string why;       //!< rendered fold provenance
-};
-
-/** Per-edge-class proven lookahead bound: the minimum charge any
- *  message of the class pays before becoming visible off-node. */
-struct LookaheadClass
-{
-    std::vector<std::string> entries; //!< entry function keys
-    std::vector<std::size_t> gates;   //!< indices into LookaheadMap::gates
-    long long boundNs = 0;            //!< min over gate bounds
-    bool positive = false;            //!< every gate folded > 0
-};
-
-/** Inline minimum charge of one public datapath entry (report table). */
-struct LookaheadEntry
-{
-    std::string fnKey;
-    std::string file;
-    int line = 0;
-    long long minChargeNs = 0; //!< unconditional charge lower bound
-};
-
-/** One lookahead violation; `allowed` edges stay in the report but
- *  produce no finding (mirrors EscapeEdge). */
-struct LookaheadViolation
-{
-    std::string rule; //!< zero-lookahead-path / zero-delay-cycle /
-                      //!< cross-node-wake-uncharged
-    std::string file;
-    int line = 0;
-    std::string fingerprint;
-    std::string message;
-    bool allowed = false;
-};
-
-/** Output of buildLookahead(): per-class bounds, charge gates, entry
- *  charges and violations. */
-struct LookaheadMap
-{
-    std::map<std::string, LookaheadClass> classes;
-    std::vector<LookaheadGate> gates;
-    std::vector<LookaheadEntry> entries;
-    std::vector<LookaheadViolation> violations;
-};
-
 /** Everything the rules see. */
 struct Project
 {
@@ -292,10 +184,6 @@ struct Project
     TypeIndex types;
     /** Function key -> summary (see FnSummary). */
     std::map<std::string, FnSummary> summaries;
-    /** Ownership & escape analysis results (ownership.cc). */
-    OwnershipMap ownership;
-    /** Min-delay lookahead analysis results (lookahead.cc). */
-    LookaheadMap lookahead;
 
     const SourceFile *file(const std::string &rel) const;
     /** Summary lookup: "Class::name" first, then bare "name"; null if

@@ -15,20 +15,11 @@
 #include <map>
 #include <set>
 
+#include "dataflow.hh"
 #include "rules.hh"
 
 namespace shrimp::analyze
 {
-
-namespace
-{
-
-/** Primitives that charge simulated time when called/awaited. */
-const std::set<std::string> chargePrimitives = {
-    "Delay", "use", "transfer", "chargeOp", "compute", "copy",
-};
-
-} // namespace
 
 void
 ruleChargedTime(const Project &p, std::vector<Finding> &out)
@@ -50,7 +41,7 @@ ruleChargedTime(const Project &p, std::vector<Finding> &out)
                                      f.toks[k + 1].is("{"));
                 if (!called)
                     continue;
-                if (chargePrimitives.count(t.text) != 0)
+                if (isChargePrimitive(t.text))
                     charges.insert(fn.name);
                 else
                     callees.insert(t.text);

@@ -27,9 +27,6 @@
 namespace shrimp::analyze
 {
 
-namespace
-{
-
 int
 layerOf(const std::string &dir)
 {
@@ -41,6 +38,9 @@ layerOf(const std::string &dir)
     auto it = layers.find(dir);
     return it == layers.end() ? -1 : it->second;
 }
+
+namespace
+{
 
 std::string
 dirOf(const std::string &rel)

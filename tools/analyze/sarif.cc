@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <utility>
+
+#include "rules.hh"
 
 namespace shrimp::analyze
 {
@@ -47,45 +50,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** One-line rule descriptions for the tool.driver.rules table. */
-const std::map<std::string, std::string> ruleDescs = {
-    {"dropped-task",
-     "Task-returning call whose lazy coroutine is never awaited, "
-     "spawned, returned or drained"},
-    {"suspend-under-exclusion",
-     "co_await between acquire() and release() in the same body"},
-    {"determinism",
-     "wall-clock/PRNG source or pointer-keyed iteration in the "
-     "simulator core"},
-    {"layering", "include-graph cycle or layer-order violation"},
-    {"charged-time",
-     "public datapath entry that never charges simulated time"},
-    {"deadlock",
-     "lock-order cycle, non-reentrant re-acquire, or co_await while a "
-     "callee-held lock is outstanding"},
-    {"determinism-taint",
-     "host-nondeterministic value flowing into event scheduling"},
-    {"shared-mutable-static",
-     "namespace/class-scope mutable static without an `analyze: "
-     "shared(reason)` allowlist — storage every shard would share"},
-    {"cross-node-escape",
-     "address of node-owned state stored into a carrier field or a "
-     "foreign node's object"},
-    {"event-capture-escape",
-     "node-owned state captured by reference into a scheduled "
-     "callable another shard could run"},
-    {"zero-lookahead-path",
-     "cross-node-visible effect reachable with 0 charged simulated "
-     "time, a lookahead-charge gate folding to 0, or an edge class "
-     "with no gate"},
-    {"zero-delay-cycle",
-     "provably-zero scheduleIn whose target reaches the scheduler "
-     "back through zero-charge edges — a time-window livelock"},
-    {"cross-node-wake-uncharged",
-     "foreign Condition/AddrCondition woken without passing through "
-     "a charged path"},
-};
-
 } // namespace
 
 std::string
@@ -93,12 +57,17 @@ sarifReport(const std::vector<Finding> &findings,
             const std::string &srcRootLabel,
             const std::set<std::string> &labeledRoots)
 {
-    // Rules actually referenced, in stable order, indexed for results.
+    // Every rule of the table in table order, then any other rule a
+    // finding names, indexed for results.
+    std::vector<std::pair<std::string, std::string>> rules;
     std::map<std::string, int> ruleIx;
-    for (const auto &[name, desc] : ruleDescs)
-        ruleIx.emplace(name, int(ruleIx.size()));
+    for (const Rule &r : ruleTable()) {
+        ruleIx.emplace(r.name, int(rules.size()));
+        rules.emplace_back(r.name, r.description);
+    }
     for (const Finding &f : findings)
-        ruleIx.emplace(f.rule, int(ruleIx.size())); // future-proofing
+        if (ruleIx.emplace(f.rule, int(rules.size())).second)
+            rules.emplace_back(f.rule, f.rule);
 
     std::ostringstream o;
     o << "{\n"
@@ -110,22 +79,13 @@ sarifReport(const std::vector<Finding> &findings,
       << "        \"driver\": {\n"
       << "          \"name\": \"shrimp_analyze\",\n"
       << "          \"rules\": [\n";
-    {
-        std::vector<const std::string *> ordered(ruleIx.size());
-        for (const auto &[name, ix] : ruleIx)
-            ordered[std::size_t(ix)] = &name;
-        for (std::size_t i = 0; i < ordered.size(); ++i) {
-            const std::string &name = *ordered[i];
-            auto dit = ruleDescs.find(name);
-            const std::string desc =
-                dit == ruleDescs.end() ? name : dit->second;
-            o << "            {\n"
-              << "              \"id\": \"" << jsonEscape(name) << "\",\n"
-              << "              \"shortDescription\": { \"text\": \""
-              << jsonEscape(desc) << "\" }\n"
-              << "            }" << (i + 1 < ordered.size() ? "," : "")
-              << "\n";
-        }
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        o << "            {\n"
+          << "              \"id\": \"" << jsonEscape(rules[i].first)
+          << "\",\n"
+          << "              \"shortDescription\": { \"text\": \""
+          << jsonEscape(rules[i].second) << "\" }\n"
+          << "            }" << (i + 1 < rules.size() ? "," : "") << "\n";
     }
     o << "          ]\n"
       << "        }\n"
