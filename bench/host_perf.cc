@@ -11,7 +11,8 @@
  *                   messages — flag-poll dominated (Memory watchpoints)
  *   poll_fanout     8 service tasks poll distinct flag words while a
  *                   4 KB AU stream lands on the same node — the
- *                   broadcast-vs-targeted wakeup-storm workload
+ *                   wakeup-storm workload: every packet write re-runs
+ *                   all 8 pollers
  *   au_stream       fig3-style AU-1copy ping-pong, 10 KB messages — the
  *                   wakeup-storm workload: each message arrives as ~20
  *                   packet writes while the receiver polls one word
@@ -22,9 +23,9 @@
  *   mesh_allpairs   ablate_mesh_scale's all-pairs 1 KB NX exchange on
  *                   16 ranks (4x4) — the scaling workload
  *
- * All workloads run with MachineConfig::targetedWakeups on: host_perf
- * measures the simulator's fast path. (The figure benches keep the
- * calibrated broadcast-wakeup model; see DESIGN.md §11.)
+ * All workloads run the calibrated model the figure benches run
+ * (broadcast poll wakeups, DESIGN.md §11); only node memory is trimmed
+ * (trimmedCfg).
  *
  * For each workload the whole simulation is repeated until a minimum
  * wall time has elapsed; the report gives host events/sec (best rep),
@@ -66,15 +67,14 @@ struct WorkResult
     Tick simulatedNs = 0;
 };
 
-/** Baseline 2x2 config with the wait-on-address fast path enabled.
- *  Node memory is trimmed to 2 MiB so each rep's fixed setup (zeroing
- *  memory, sizing the NIC page tables) doesn't drown the per-event cost
- *  being measured; the workloads touch well under 1 MiB per node. */
+/** Baseline 2x2 config with node memory trimmed to 2 MiB, so each rep's
+ *  fixed setup (zeroing memory, sizing the NIC page tables) doesn't
+ *  drown the per-event cost being measured; the workloads touch well
+ *  under 1 MiB per node. */
 MachineConfig
-fastCfg()
+trimmedCfg()
 {
     MachineConfig cfg;
-    cfg.targetedWakeups = true;
     cfg.nodeMemBytes = 2 * units::MiB;
     return cfg;
 }
@@ -85,7 +85,7 @@ fastCfg()
 WorkResult
 vmmcPingpong(int iters)
 {
-    vmmc::System sys(fastCfg());
+    vmmc::System sys(trimmedCfg());
     auto &a = sys.createEndpoint(0);
     auto &b = sys.createEndpoint(1);
     Tick t1 = 0;
@@ -121,12 +121,12 @@ vmmcPingpong(int iters)
 
 /** fig3 AU-1copy ping-pong, 10 KB messages: the sender's copy into the
  *  AU-bound buffer streams out as ~20 packets, each landing as a write
- *  to the receiver's memory while the receiver polls the tag word — the
- *  workload where targeted wakeups shed the broadcast storm. */
+ *  to the receiver's memory while the receiver polls the tag word, and
+ *  each write wakes the poller for another check. */
 WorkResult
 auStream(int iters)
 {
-    vmmc::System sys(fastCfg());
+    vmmc::System sys(trimmedCfg());
     auto &a = sys.createEndpoint(0);
     auto &b = sys.createEndpoint(1);
     Tick t1 = 0;
@@ -173,14 +173,13 @@ auStream(int iters)
  *  flag word while the peer streams 4 KB of AU data (~8 packet writes)
  *  into a bulk buffer on the same node every round, then taps each
  *  flag. Models a server polling many receive buffers (NX posted
- *  receives, multi-connection sockets). Under broadcast wakeups every
- *  bulk packet write re-runs all 8 pollers; under targeted wakeups the
- *  bulk stream wakes nobody. */
+ *  receives, multi-connection sockets). Every bulk packet write re-runs
+ *  all 8 pollers, as it does in the figure benches. */
 WorkResult
 pollFanout(int iters)
 {
     constexpr int pollers = 8;
-    vmmc::System sys(fastCfg());
+    vmmc::System sys(trimmedCfg());
     auto &a = sys.createEndpoint(0);
     auto &b = sys.createEndpoint(1);
 
@@ -233,7 +232,7 @@ pollFanout(int iters)
 WorkResult
 nxExchange(int iters)
 {
-    vmmc::System sys(fastCfg());
+    vmmc::System sys(trimmedCfg());
     nx::NxSystem nxs(sys, 2);
     sys.sim().spawn(nxs.init());
     std::uint64_t n = sys.sim().runAll();
@@ -264,7 +263,7 @@ sockStream(int records)
 {
     const std::size_t record = 7168;
     const std::size_t total = std::size_t(records) * record;
-    vmmc::System sys(fastCfg());
+    vmmc::System sys(trimmedCfg());
     auto &sink_ep = sys.createEndpoint(1);
     auto &src_ep = sys.createEndpoint(0);
 
@@ -304,7 +303,7 @@ sockStream(int records)
 WorkResult
 meshAllpairs(int nprocs)
 {
-    MachineConfig cfg = fastCfg();
+    MachineConfig cfg = trimmedCfg();
     cfg.meshWidth = nprocs > 4 ? 4 : 2;
     cfg.meshHeight = nprocs > 4 ? 4 : 2;
     cfg.nodeMemBytes = 2 * units::MiB;

@@ -61,19 +61,6 @@ struct MachineConfig
     /** One polling iteration: load flag, compare, branch. */
     Tick pollCheckCost = 250;
 
-    /**
-     * Sleep flag pollers on just the bytes they poll (wait-on-address)
-     * instead of on every write to node memory. Purely a simulation
-     * fidelity/throughput trade: with broadcast wakeups a poller
-     * re-checks after *any* write, so when unrelated writes land within
-     * pollCheckCost of the watched one it can detect the flag up to one
-     * poll check earlier than a targeted waiter would. Off by default so
-     * the paper-figure benches reproduce the calibrated traces
-     * bit-for-bit; large-scale runs (bench/host_perf) turn it on to
-     * shed the broadcast wakeup storm.
-     */
-    bool targetedWakeups = false;
-
     /** Per-library-API-call software overhead (entry, error checks). */
     Tick libCallCost = 700;
 

@@ -45,7 +45,7 @@ Memory::write(PAddr addr, const void *src, std::size_t n)
         std::memcpy(data_.data() + addr, src, n);
     data_.noteDirty(std::size_t(addr) + n);
     ++writeCount_;
-    notifyWrite(addr, n);
+    notifyWrite();
 }
 
 void

@@ -2,10 +2,12 @@
  * @file
  * Memory: one node's physical memory. Holds real bytes (protocols in the
  * libraries move actual data, which tests verify end-to-end) and supports
- * write watchpoints: a task can sleep until a write lands in the byte
- * range it is polling (or anywhere, for multi-location scans), then
- * re-check the flag. Timing is charged by the components that access
- * memory (CPU, DMA engines), not here.
+ * a write watchpoint: a polling task sleeps until the next write to this
+ * memory, then re-checks its flag. Every write wakes every sleeping
+ * poller, whatever bytes it touched (a zero-length write included):
+ * that broadcast is the one poll-wakeup model the calibrated figures
+ * run. Timing is charged by the components that access memory (CPU,
+ * DMA engines), not here.
  */
 
 #ifndef SHRIMP_MEM_MEMORY_HH
@@ -54,24 +56,11 @@ class Memory
     void write32(PAddr addr, std::uint32_t value);
 
     /**
-     * Suspend until the next write to this memory (any address).
-     * Users poll a predicate:  while (!flagSet()) co_await m.waitWrite();
-     * Pollers that watch a known location should use the targeted
-     * overload instead — it skips the wakeup entirely for unrelated
-     * writes.
+     * Suspend until the next write to this memory (any address, any
+     * length). Users poll a predicate:
+     *   while (!flagSet()) co_await m.waitWrite();
      */
-    sim::AddrCondition::WaitAwaiter
-    waitWrite()
-    {
-        return writeWaiters_.wait(0, data_.size());
-    }
-
-    /** Suspend until a write overlapping [addr, addr+n) lands. */
-    sim::AddrCondition::WaitAwaiter
-    waitWrite(PAddr addr, std::size_t n)
-    {
-        return writeWaiters_.wait(addr, std::uint64_t(addr) + n);
-    }
+    sim::Condition::WaitAwaiter waitWrite() { return writeWaiters_.wait(); }
 
     /**
      * Allocate @p pages physically-contiguous page frames.
@@ -89,20 +78,21 @@ class Memory
   private:
     void checkRange(PAddr addr, std::size_t n) const;
 
-    /** Wake pollers watching bytes of [addr, addr+n); no-op when nobody
-     *  is waiting, so un-watched writes pay nothing for the mechanism. */
+    /** Wake every sleeping poller: any write, even a zero-length one,
+     *  counts. No-op when nobody is waiting, so un-watched writes pay
+     *  nothing for the mechanism. */
     void
-    notifyWrite(PAddr addr, std::size_t n)
+    notifyWrite()
     {
-        if (writeWaiters_.hasWaiters())
-            writeWaiters_.notifyRange(addr, std::uint64_t(addr) + n);
+        if (writeWaiters_.numWaiters() != 0)
+            writeWaiters_.notifyAll();
     }
 
     sim::EventQueue &queue_;
     ZeroRegion data_;
     std::size_t pageBytes_;
     std::string name_;
-    sim::AddrCondition writeWaiters_;
+    sim::Condition writeWaiters_;
     PAddr nextFrame_ = 0;
     std::uint64_t writeCount_ = 0;
 };
@@ -133,7 +123,7 @@ Memory::write32(PAddr addr, std::uint32_t value)
     std::memcpy(data_.data() + addr, &value, sizeof(value));
     data_.noteDirty(std::size_t(addr) + sizeof(value));
     ++writeCount_;
-    notifyWrite(addr, sizeof(value));
+    notifyWrite();
 }
 #endif // !SHRIMP_CHECK
 

@@ -141,7 +141,7 @@ Mesh::inject(Packet pkt)
 // contended link hands its grant to the oldest waiter through a
 // zero-delay event, the deferred handoff Semaphore::release makes. These
 // are exactly the ticks and same-tick insertion points of the per-packet
-// coroutine engine the golden hashes were recorded on (DESIGN.md §14).
+// coroutine engine the golden hashes were recorded on (DESIGN.md §13).
 
 void
 Mesh::startHop(Flight *f)

@@ -5,7 +5,7 @@
  * preserves the order of packets from each sender to each receiver.
  * Node i sits at (i % width, i / width).
  *
- * Packets advance through a per-link occupancy ledger (DESIGN.md §14):
+ * Packets advance through a per-link occupancy ledger (DESIGN.md §13):
  * a busy bit plus a FIFO of waiting packets per directed link grants
  * link windows with plain arithmetic and one pooled event per hop — no
  * coroutine frames, no semaphore queues, no per-packet spawn

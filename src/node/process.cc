@@ -152,27 +152,6 @@ Process::pollSleep()
 }
 
 sim::Task<>
-Process::pollSleep(VAddr addr, std::size_t n)
-{
-    // Targeted variant for callers whose rescan only reads
-    // [addr, addr+n): unrelated writes leave the task asleep.
-    co_await sleepUntilWrite(addr, n);
-    co_await node_.cpu().use(config().pollCheckCost);
-}
-
-sim::AddrCondition::WaitAwaiter
-Process::sleepUntilWrite(VAddr addr, std::size_t n)
-{
-    // The knob picks the wakeup model: targeted waiters sleep on the
-    // polled bytes; the calibrated default re-checks after every write
-    // to node memory (see MachineConfig::targetedWakeups).
-    mem::Memory &m = node_.memory();
-    if (config().targetedWakeups)
-        return m.waitWrite(as_.translateRange(addr, n), n);
-    return m.waitWrite();
-}
-
-sim::Task<>
 Process::detectPenalty(VAddr addr)
 {
     if (as_.cacheMode(addr) != CacheMode::Uncached)
@@ -193,7 +172,7 @@ Process::pollWord32(VAddr addr, std::uint32_t ref, bool want_equal)
                 co_await sim::Delay{sim().queue(), cfg.wtReceivePenalty};
             co_return v;
         }
-        co_await sleepUntilWrite(addr, sizeof(std::uint32_t));
+        co_await node_.memory().waitWrite();
     }
 }
 

@@ -9,9 +9,11 @@
  *    logic (so stores to automatic-update-bound pages become packets,
  *    "eliminating the need for an explicit send operation");
  *  - waitWord32Eq()/waitWord32Ne() are the polling receive primitives:
- *    they charge a poll cost per check and sleep on memory write
- *    watchpoints in between, plus the cache-invalidation penalty when
- *    the polled page is cached;
+ *    they charge a poll cost per check and sleep on the node memory's
+ *    write watchpoint in between, plus the cache-invalidation penalty
+ *    when the polled page is cached. Any write to node memory wakes
+ *    every poller, which re-checks at once: a write to an unrelated
+ *    word can start the check that detects the flag (DESIGN.md §11);
  *  - peek()/poke() are untimed accessors for test setup and inspection.
  */
 
@@ -91,13 +93,6 @@ class Process
      */
     sim::Task<> pollSleep();
 
-    /**
-     * Targeted pollSleep: sleep until a write overlaps [addr, addr+n).
-     * Only correct when the caller's rescan reads nothing outside that
-     * range; scans over several buffers keep the untargeted form.
-     */
-    sim::Task<> pollSleep(VAddr addr, std::size_t n);
-
     /** Charge the cache-invalidation detection penalty for data that
      *  just arrived at @p addr (no charge for uncached pages). */
     sim::Task<> detectPenalty(VAddr addr);
@@ -108,11 +103,6 @@ class Process
      *  once per poll check on the hottest receive path. */
     sim::Task<std::uint32_t> pollWord32(VAddr addr, std::uint32_t ref,
                                         bool want_equal);
-
-    /** Watchpoint awaiter for a poller that rescans [addr, addr+n):
-     *  range-keyed when config().targetedWakeups, any-write otherwise. */
-    sim::AddrCondition::WaitAwaiter sleepUntilWrite(VAddr addr,
-                                                    std::size_t n);
 
     Node &node_;
     int pid_;

@@ -31,34 +31,6 @@ Condition::notifyAll()
 }
 
 void
-AddrCondition::notifyRange(std::uint64_t lo, std::uint64_t hi)
-{
-    // Same release edge as Condition::notifyAll: the notifier publishes
-    // its history on this object for any task resumed by it.
-    SHRIMP_CHECK_HOOK(check::RaceDetector::instance().objRelease(
-        this, check::RaceDetector::instance().currentActor()));
-    // Resumes are deferred through the event queue, so the list cannot
-    // be mutated while we scan it; compact non-overlapping waiters in
-    // place to keep their relative (FIFO) order.
-    std::size_t kept = 0;
-    for (const Waiter &w : waiters_) {
-        if (w.lo < hi && lo < w.hi) {
-            auto h = w.h;
-            SHRIMP_CHECK_HOOK(
-                check::SimChecker::instance().onResumeScheduled(h.address()));
-            queue_.scheduleIn(0, [h] {
-                SHRIMP_CHECK_HOOK(
-                    check::SimChecker::instance().onResumeFired(h.address()));
-                h.resume();
-            });
-        } else {
-            waiters_[kept++] = w;
-        }
-    }
-    waiters_.resize(kept);
-}
-
-void
 Semaphore::release()
 {
     SHRIMP_CHECK_HOOK(check::RaceDetector::instance().objRelease(

@@ -1,8 +1,8 @@
 /**
  * @file
  * Synchronization primitives for simulated tasks: Condition (broadcast
- * wakeup), AddrCondition (address-range-keyed wakeup), Semaphore (FIFO,
- * counting), and Channel<T> (typed FIFO queue with blocking receive).
+ * wakeup), Semaphore (FIFO, counting), and Channel<T> (typed FIFO queue
+ * with blocking receive).
  * All wakeups are routed through the EventQueue so execution order stays
  * deterministic.
  */
@@ -12,7 +12,6 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -62,63 +61,6 @@ class Condition
     EventQueue &queue_;
     std::vector<std::coroutine_handle<>> waiters_;
     std::vector<std::coroutine_handle<>> scratch_; //!< see notifyAll()
-};
-
-/**
- * Address-range condition: each waiter names the half-open byte range
- * [lo, hi) it is polling; notifyRange(lo, hi) wakes only the waiters
- * whose range overlaps the notified span, in the order they began
- * waiting. This is the wait-on-address primitive behind Memory's write
- * watchpoints: a store wakes the tasks polling those bytes instead of
- * broadcasting to every poller on the node. Like Condition, there is no
- * predicate tracking — waiters re-check after every wakeup.
- */
-class AddrCondition
-{
-  public:
-    explicit AddrCondition(EventQueue &queue) : queue_(queue) {}
-
-    struct WaitAwaiter
-    {
-        AddrCondition &cond;
-        std::uint64_t lo;
-        std::uint64_t hi;
-
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            cond.waiters_.push_back({h, lo, hi});
-        }
-
-        void await_resume() const noexcept {}
-    };
-
-    /** Suspend until a notifyRange() overlapping [lo, hi) arrives. */
-    WaitAwaiter
-    wait(std::uint64_t lo, std::uint64_t hi)
-    {
-        return WaitAwaiter{*this, lo, hi};
-    }
-
-    /** Wake every waiter whose range overlaps [lo, hi); they resume at
-     *  the current tick in the order they began waiting. */
-    void notifyRange(std::uint64_t lo, std::uint64_t hi);
-
-    bool hasWaiters() const { return !waiters_.empty(); }
-    std::size_t numWaiters() const { return waiters_.size(); }
-
-  private:
-    struct Waiter
-    {
-        std::coroutine_handle<> h;
-        std::uint64_t lo;
-        std::uint64_t hi;
-    };
-
-    EventQueue &queue_;
-    std::vector<Waiter> waiters_;
 };
 
 /**

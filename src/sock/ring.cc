@@ -8,16 +8,6 @@
 namespace shrimp::sock
 {
 
-namespace
-{
-
-/** Receive-side rescans read the tail (+0) and fin (+16) control words;
- *  this span covers both (and the acked word between them, whose writes
- *  harmlessly re-run the scan). */
-constexpr std::size_t ctlSpanBytes = 20;
-
-} // namespace
-
 ByteStream::ByteStream(vmmc::Endpoint &ep, std::size_t ring_bytes)
     : ep_(ep), ringBytes_(ring_bytes)
 {
@@ -93,8 +83,7 @@ ByteStream::waitSpace(std::size_t min_bytes)
         if (free >= min_bytes)
             co_return free;
         // Space opens up only when the peer advances the acked word.
-        co_await proc.pollSleep(VAddr(region_ + ctlOff() + 8),
-                                sizeof(std::uint32_t));
+        co_await proc.pollSleep();
     }
 }
 
@@ -300,10 +289,7 @@ ByteStream::recv(VAddr dst, std::size_t maxlen)
         }
         if (finReceived())
             co_return 0;
-        // The rescan reads the tail (+0) and fin (+16) words; one span
-        // over the control block covers both.
-        co_await proc.pollSleep(VAddr(region_ + ctlOff()),
-                                ctlSpanBytes);
+        co_await proc.pollSleep();
     }
 }
 
@@ -317,8 +303,7 @@ ByteStream::recvHost(void *out, std::size_t len)
         while (available() == 0) {
             if (finReceived())
                 panic("stream closed mid-record");
-            co_await proc.pollSleep(VAddr(region_ + ctlOff()),
-                                    ctlSpanBytes);
+            co_await proc.pollSleep();
         }
         std::size_t avail = available();
         std::size_t off = readCount_ % ringBytes_;

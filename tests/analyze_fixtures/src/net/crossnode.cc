@@ -6,6 +6,9 @@
  *  - cross-node-deliver-uncharged: Lane::shove makes a deliver effect
  *    visible before charging; shoveCharged pays first, and Lane::loop
  *    reaches Lane::land's effect only through an exempt call edge.
+ *    Fabric::push reaches Sink::take's effect through a subscripted
+ *    receiver (`sinks_[i]->take(...)`) before charging; pushCharged
+ *    pays first.
  *  - cross-node-wake-uncharged: Hub::route wakes a waiter it received
  *    by reference with nothing charged yet; Hub::flush charges first,
  *    and waking a *member* condition is never cross-node.
@@ -54,6 +57,26 @@ class Lane
   private:
     LaBus bus_;
     LaPort out_;
+};
+
+class Sink
+{
+  public:
+    void take(int v);
+
+  private:
+    LaPort out_;
+};
+
+class Fabric
+{
+  public:
+    Task<> push(int i);
+    Task<> pushCharged(int i);
+
+  private:
+    LaBus bus_;
+    std::vector<std::unique_ptr<Sink>> sinks_;
 };
 
 class Hub
@@ -112,6 +135,29 @@ Lane::land()
     // analyze: cross-node-deliver — negative: reached only through the
     // exempt edge in Lane::loop.
     out_.send(3);
+}
+
+void
+Sink::take(int v)
+{
+    // analyze: cross-node-deliver — visible to the sink's node.
+    out_.send(v);
+}
+
+// analyze: cross-node-entry
+Task<>
+Fabric::push(int i)
+{
+    sinks_[i]->take(i); // seeded: subscripted receiver, 0 charge
+    co_await bus_.transfer(64, 40);
+}
+
+// analyze: cross-node-entry
+Task<>
+Fabric::pushCharged(int i)
+{
+    co_await bus_.transfer(64, 40);
+    sinks_[i]->take(i); // negative: a full transfer is charged first
 }
 
 // analyze: cross-node-entry

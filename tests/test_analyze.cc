@@ -51,6 +51,7 @@ TEST(Analyze, FixtureCorpusYieldsExactlyTheSeededViolations)
     const std::multiset<std::string> want = {
         "charged-time|Engine::deliver",
         "cross-node-deliver-uncharged|deliver/Lane::shove/Lane::shove",
+        "cross-node-deliver-uncharged|deliver/Sink::take/Sink::take",
         "cross-node-escape|arg/Peer::send/stash",
         "cross-node-escape|carrier/Peer::fill/window",
         "cross-node-escape|store/Peer::link/other.back_",

@@ -73,51 +73,29 @@ TEST(Memory, WriteWakesWatcher)
     EXPECT_EQ(woke_at, 500u);
 }
 
-TEST(Memory, TargetedWaitIgnoresDisjointWrites)
-{
-    sim::Simulator s;
-    Memory m(s.queue(), 16 * kPage, kPage);
-    Tick woke_at = 0;
-    s.spawn([](sim::Simulator &s, Memory &m, Tick &woke_at) -> sim::Task<> {
-        co_await m.waitWrite(256, 4);
-        woke_at = s.now();
-    }(s, m, woke_at));
-    s.queue().scheduleIn(100, [&] { m.write32(512, 1); });   // disjoint
-    s.queue().scheduleIn(150, [&] { m.write32(252, 2); });   // [252,256)
-    s.queue().scheduleIn(200, [&] { m.write32(256, 3); });   // overlaps
-    s.runAll();
-    EXPECT_EQ(woke_at, 200u);
-}
-
-TEST(Memory, TargetedWaitWakesOnPartialOverlap)
-{
-    sim::Simulator s;
-    Memory m(s.queue(), 16 * kPage, kPage);
-    Tick woke_at = 0;
-    s.spawn([](sim::Simulator &s, Memory &m, Tick &woke_at) -> sim::Task<> {
-        co_await m.waitWrite(256, 4);
-        woke_at = s.now();
-    }(s, m, woke_at));
-    // An 8-byte store at 252 covers [252,260): its tail touches the
-    // watched word.
-    std::uint8_t buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-    s.queue().scheduleIn(300, [&] { m.write(252, buf, sizeof(buf)); });
-    s.runAll();
-    EXPECT_EQ(woke_at, 300u);
-}
-
 TEST(Memory, WholeMemoryWaitStillWakesOnAnyWrite)
 {
-    sim::Simulator s;
-    Memory m(s.queue(), 16 * kPage, kPage);
-    Tick woke_at = 0;
-    s.spawn([](sim::Simulator &s, Memory &m, Tick &woke_at) -> sim::Task<> {
-        co_await m.waitWrite();
-        woke_at = s.now();
-    }(s, m, woke_at));
-    s.queue().scheduleIn(40, [&] { m.write32(15 * kPage, 1); });
-    s.runAll();
-    EXPECT_EQ(woke_at, 40u);
+    // Any write wakes a sleeping poller, whatever bytes it touches: a
+    // word far from anything polled, and a zero-length write at
+    // physical address 0 (which covers no byte at all).
+    for (bool zero_length : {false, true}) {
+        sim::Simulator s;
+        Memory m(s.queue(), 16 * kPage, kPage);
+        Tick woke_at = 0;
+        s.spawn([](sim::Simulator &s, Memory &m,
+                   Tick &woke_at) -> sim::Task<> {
+            co_await m.waitWrite();
+            woke_at = s.now();
+        }(s, m, woke_at));
+        s.queue().scheduleIn(40, [&] {
+            if (zero_length)
+                m.write(0, nullptr, 0);
+            else
+                m.write32(15 * kPage, 1);
+        });
+        s.runAll();
+        EXPECT_EQ(woke_at, 40u) << "zero_length=" << zero_length;
+    }
 }
 
 TEST(Memory, Word32OutOfRangePanics)

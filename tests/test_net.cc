@@ -325,7 +325,7 @@ TEST(MeshIncast, LinkContentionSlowsButNeverDrops)
 }
 
 // ---- pinned delivery streams --------------------------------------------
-// DESIGN.md §14: the link ledger replaced a per-packet coroutine engine
+// DESIGN.md §13: the link ledger replaced a per-packet coroutine engine
 // that co_awaited a full Bus handshake at every hop. Each test below runs
 // one traffic pattern and pins a digest of its complete delivery stream
 // — every ejection's (tick, node, src, destAddr), in global simulation

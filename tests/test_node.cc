@@ -190,6 +190,40 @@ TEST_F(NodeTest, WaitWord32IgnoresNonMatchingWrites)
     EXPECT_GE(machine_.sim().now(), 200u);
 }
 
+TEST_F(NodeTest, UnrelatedWriteStartsTheDetectingPollCheck)
+{
+    // Pins the one poll-wakeup model: any write to node memory wakes
+    // every poller, which starts a fresh check at once. On an uncached
+    // page (no detection penalty) with the default 250 ns check:
+    //   t=0..250  first check reads A == 0, the poller sleeps;
+    //   t=300     a write to unrelated word B wakes it; check 300..550;
+    //   t=400     the flag write to A lands mid-check;
+    //   t=550     the check reads A == 1 and returns.
+    // A poller woken only by writes to A would return at 400 + 250.
+    Process &a = machine_.spawnProcess(0);
+    ASSERT_EQ(a.config().pollCheckCost, 250u);
+    VAddr page = a.alloc(4096, CacheMode::Uncached);
+    VAddr flag = page;
+    VAddr other = page + 64;
+    Tick returned_at = 0;
+    machine_.sim().spawn([](Process &a, VAddr flag,
+                            Tick &returned_at) -> sim::Task<> {
+        EXPECT_EQ(co_await a.waitWord32Eq(flag, 1), 1u);
+        returned_at = a.sim().now();
+    }(a, flag, returned_at));
+    auto &mem = machine_.node(0).memory();
+    PAddr pa_flag = a.as().translate(flag);
+    PAddr pa_other = a.as().translate(other);
+    machine_.sim().queue().scheduleIn(300, [&mem, pa_other] {
+        mem.write32(pa_other, 9);
+    });
+    machine_.sim().queue().scheduleIn(400, [&mem, pa_flag] {
+        mem.write32(pa_flag, 1);
+    });
+    machine_.sim().runAll();
+    EXPECT_EQ(returned_at, 550u);
+}
+
 TEST_F(NodeTest, DetectPenaltyOnlyForCachedPages)
 {
     Process &p = machine_.spawnProcess(0);

@@ -547,43 +547,6 @@ TEST_F(RaceTest, FlagPolledReceiveRunsCleanEndToEnd)
     EXPECT_GT(race().numActors(), 0u);
 }
 
-TEST_F(RaceTest, TargetedWakeupsPreserveEveryOrderingEdge)
-{
-    // The same clean flag-polled exchange with the wait-on-address fast
-    // path enabled: pollers sleep on just the bytes they poll and
-    // writes with no overlapping waiter skip the notify entirely. The
-    // detector's edges (flag-poll observation, packet clocks, the
-    // AddrCondition release/acquire) must keep the run silent under
-    // abort mode.
-    checker().setAbortOnViolation(true);
-    MachineConfig cfg;
-    cfg.targetedWakeups = true;
-    vmmc::System sys(cfg);
-    vmmc::Endpoint &a = sys.createEndpoint(0);
-    vmmc::Endpoint &b = sys.createEndpoint(1);
-    test::runTask(
-        sys.sim(),
-        [](vmmc::Endpoint &a, vmmc::Endpoint &b) -> sim::Task<> {
-            VAddr rbuf = b.proc().alloc(2 * kPage);
-            co_await b.exportBuffer(52, rbuf, 2 * kPage);
-            vmmc::ImportResult r = co_await a.import(1, 52);
-
-            auto data = test::pattern(6000, 5);
-            VAddr src = a.proc().alloc(2 * kPage);
-            a.proc().poke(src, data.data(), data.size());
-            EXPECT_EQ(co_await a.send(r.handle, 0, src, data.size()),
-                      vmmc::Status::Ok);
-
-            co_await b.proc().waitWord32Ne(VAddr(rbuf + data.size() - 4),
-                                           0);
-            std::vector<std::uint8_t> got(data.size());
-            co_await b.proc().read(rbuf, got.data(), got.size());
-            EXPECT_EQ(got, data);
-        }(a, b));
-
-    EXPECT_TRUE(checker().violations().empty());
-}
-
 #endif // SHRIMP_CHECK
 
 } // namespace

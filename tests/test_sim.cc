@@ -226,6 +226,43 @@ TEST(Condition, NotifyDoesNotWakeFutureWaiters)
     EXPECT_FALSE(late_woke);
 }
 
+TEST(Condition, WaitersWakeInWaitOrder)
+{
+    Simulator s;
+    Condition c(s.queue());
+    std::vector<int> order;
+    auto waiter = [](Condition &c, std::vector<int> &order,
+                     int id) -> Task<> {
+        co_await c.wait();
+        order.push_back(id);
+    };
+    for (int id = 0; id < 4; ++id)
+        s.spawn(waiter(c, order, id));
+    s.queue().scheduleIn(5, [&] { c.notifyAll(); });
+    s.runAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Condition, NotifiedWaiterCanRewaitWithoutRewake)
+{
+    Simulator s;
+    Condition c(s.queue());
+    int wakes = 0;
+    s.spawn([](Condition &c, int &wakes) -> Task<> {
+        co_await c.wait();
+        ++wakes;
+        co_await c.wait(); // must not be satisfied by the same notify
+        ++wakes;
+    }(c, wakes));
+    s.queue().scheduleIn(10, [&] { c.notifyAll(); });
+    s.queue().scheduleIn(20, [&] {
+        EXPECT_EQ(wakes, 1);
+        c.notifyAll();
+    });
+    s.runAll();
+    EXPECT_EQ(wakes, 2);
+}
+
 TEST(Semaphore, CountingSemantics)
 {
     Simulator s;
@@ -490,79 +527,6 @@ TEST(FrameArena, RecyclesCoroutineFrames)
     // arena serves every frame from a free list.
     EXPECT_GE(after.reused - before.reused, 50u);
     EXPECT_LE(after.carved - before.carved, 4u);
-}
-
-// ---- address-range-keyed wakeups ---------------------------------------
-
-TEST(AddrCondition, WakesOnlyOverlappingWaiters)
-{
-    Simulator s;
-    AddrCondition c(s.queue());
-    std::vector<std::pair<int, Tick>> woke;
-    auto waiter = [](Simulator &s, AddrCondition &c,
-                     std::vector<std::pair<int, Tick>> &woke, int id,
-                     std::uint64_t lo, std::uint64_t hi) -> Task<> {
-        co_await c.wait(lo, hi);
-        woke.push_back({id, s.now()});
-    };
-    s.spawn(waiter(s, c, woke, 0, 0, 4));
-    s.spawn(waiter(s, c, woke, 1, 8, 12));
-    s.queue().scheduleIn(10, [&] { c.notifyRange(3, 5); }); // hits [0,4)
-    s.queue().scheduleIn(20, [&] { c.notifyRange(8, 9); }); // hits [8,12)
-    s.runAll();
-    ASSERT_EQ(woke.size(), 2u);
-    EXPECT_EQ(woke[0], (std::pair<int, Tick>{0, 10}));
-    EXPECT_EQ(woke[1], (std::pair<int, Tick>{1, 20}));
-}
-
-TEST(AddrCondition, RangesAreHalfOpen)
-{
-    Simulator s;
-    AddrCondition c(s.queue());
-    Tick woke_at = 0;
-    s.spawn([](Simulator &s, AddrCondition &c, Tick &woke_at) -> Task<> {
-        co_await c.wait(4, 8);
-        woke_at = s.now();
-    }(s, c, woke_at));
-    s.queue().scheduleIn(10, [&] { c.notifyRange(0, 4); }); // ends at lo
-    s.queue().scheduleIn(20, [&] { c.notifyRange(8, 12); }); // starts at hi
-    s.queue().scheduleIn(30, [&] { c.notifyRange(7, 8); }); // last byte
-    s.runAll();
-    EXPECT_EQ(woke_at, 30u);
-}
-
-TEST(AddrCondition, OverlappingWaitersWakeInWaitOrder)
-{
-    Simulator s;
-    AddrCondition c(s.queue());
-    std::vector<int> order;
-    auto waiter = [](AddrCondition &c, std::vector<int> &order,
-                     int id) -> Task<> {
-        co_await c.wait(0, 64);
-        order.push_back(id);
-    };
-    for (int id = 0; id < 4; ++id)
-        s.spawn(waiter(c, order, id));
-    s.queue().scheduleIn(5, [&] { c.notifyRange(10, 11); });
-    s.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(AddrCondition, NotifiedWaiterCanRewaitWithoutRewake)
-{
-    Simulator s;
-    AddrCondition c(s.queue());
-    int wakes = 0;
-    s.spawn([](AddrCondition &c, int &wakes) -> Task<> {
-        co_await c.wait(0, 4);
-        ++wakes;
-        co_await c.wait(0, 4); // must not be satisfied by the same notify
-        ++wakes;
-    }(c, wakes));
-    s.queue().scheduleIn(10, [&] { c.notifyRange(0, 4); });
-    s.queue().scheduleIn(20, [&] { c.notifyRange(0, 4); });
-    s.runAll();
-    EXPECT_EQ(wakes, 2);
 }
 
 // ---- integer-ns occupancy: pin the calibrated bus rates ----------------

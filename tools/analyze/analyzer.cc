@@ -265,9 +265,8 @@ ruleTable()
          "`cross-node-entry` with 0 charged simulated time",
          ruleCrossNodeDeliverUncharged},
         {"cross-node-wake-uncharged",
-         "notifyAll/notifyRange/notifyWrite on a parameter-rooted "
-         "waiter reachable from a `cross-node-entry` with 0 charged "
-         "simulated time",
+         "notifyAll/notifyWrite on a parameter-rooted waiter reachable "
+         "from a `cross-node-entry` with 0 charged simulated time",
          ruleCrossNodeWakeUncharged},
         {"zero-delay-cycle",
          "a provably-zero scheduleIn whose target reaches the scheduler "

@@ -89,41 +89,43 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
 {
     const Tokens &toks = f.toks;
 
-    // Collect the chain segments right-to-left: ident or ident() hops
-    // separated by `.`/`->`. A `)` that closes a call hop is walked
-    // through; anything else ends the chain.
+    // Collect the chain segments right-to-left: ident, ident() or
+    // ident[] hops separated by `.`/`->`. A `)` or `]` that closes a
+    // call or subscript hop is walked through; anything else ends the
+    // chain.
     struct Seg
     {
         std::string name;
         bool isCall = false;
+        bool isSubscript = false;
     };
     std::vector<Seg> segs;
     std::size_t k = dotIdx; // token index of the `.`/`->`
     while (k > 0) {
         std::size_t end = k; // one past segment
-        bool isCall = false;
-        if (toks[end - 1].is(")")) {
-            // Walk back over the balanced parens of a call hop.
+        const bool call = toks[end - 1].is(")");
+        if (call || toks[end - 1].is("]")) {
+            // Walk back over the balanced parens/brackets of the hop.
+            const char *open = call ? "(" : "[";
+            const char *close = call ? ")" : "]";
             int depth = 0;
             std::size_t q = end;
             while (q-- > 0) {
-                if (toks[q].is(")"))
+                if (toks[q].is(close))
                     ++depth;
-                else if (toks[q].is("(") && --depth == 0)
+                else if (toks[q].is(open) && --depth == 0)
                     break;
             }
             if (q == 0 || !toks[q - 1].ident())
                 break;
-            segs.push_back({toks[q - 1].text, true});
+            segs.push_back({toks[q - 1].text, call, !call});
             end = q - 1;
-            isCall = true;
         } else if (toks[end - 1].ident()) {
-            segs.push_back({toks[end - 1].text, false});
+            segs.push_back({toks[end - 1].text});
             end = end - 1;
         } else {
             break;
         }
-        (void)isCall;
         if (end >= 1 && (toks[end - 1].is(".") || toks[end - 1].is("->"))) {
             k = end - 1;
             continue;
@@ -141,12 +143,13 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
     std::string cls;
     for (std::size_t i = segs.size(); i-- > 0;) {
         const Seg &s = segs[i];
+        std::string type;
         if (cls.empty()) {
             if (s.name == "this") {
                 cls = fn.className;
                 continue;
             }
-            std::string type = nameType(p, f, fn, s.name);
+            type = nameType(p, f, fn, s.name);
             if (type.empty() && s.isCall && !fn.className.empty()) {
                 // `method().x`: the first hop is a call on *this.
                 auto cit = p.types.methods.find(fn.className);
@@ -156,15 +159,7 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
                         type = mit->second;
                 }
             }
-            if (type.empty())
-                return "";
-            cls = typeClassName(p.types, type);
-            if (cls.empty())
-                return "";
-            continue;
-        }
-        std::string type;
-        if (s.isCall) {
+        } else if (s.isCall) {
             auto cit = p.types.methods.find(cls);
             if (cit == p.types.methods.end())
                 return "";
@@ -181,6 +176,11 @@ resolveReceiver(const Project &p, const SourceFile &f, const FnDef &fn,
                 return "";
             type = fit->second;
         }
+        // `xs[i]`: the hop's class is the container's element.
+        if (s.isSubscript)
+            type = subscriptType(p.types, type);
+        if (type.empty())
+            return "";
         cls = typeClassName(p.types, type);
         if (cls.empty())
             return "";

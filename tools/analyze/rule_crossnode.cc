@@ -10,8 +10,8 @@
  *                                 becomes visible on another node)
  *                                 reachable from a cross-node entry
  *                                 with 0 charged simulated time
- *   cross-node-wake-uncharged     notifyAll/notifyRange/notifyWrite on
- *                                 a parameter-rooted receiver — a
+ *   cross-node-wake-uncharged     notifyAll/notifyWrite on a
+ *                                 parameter-rooted receiver — a
  *                                 waiter the function does not own —
  *                                 reachable from an entry with 0
  *                                 charged simulated time
@@ -630,7 +630,6 @@ chargeGraph(const Project &p)
                 // at a parameter — a waiter this function does not
                 // own, i.e. potentially on another node.
                 if (cs.callee == "notifyAll" ||
-                    cs.callee == "notifyRange" ||
                     cs.callee == "notifyWrite") {
                     const std::string root =
                         receiverRootName(f.toks, cs.nameIdx);

@@ -316,4 +316,17 @@ typeClassName(const TypeIndex &ix, const std::string &type)
     return outerName(t);
 }
 
+std::string
+subscriptType(const TypeIndex &ix, const std::string &type)
+{
+    static const std::set<std::string> sequences = {
+        "vector", "deque", "array",
+    };
+    const std::string t = ix.resolve(type);
+    const auto args = templateArgs(t);
+    if (sequences.count(outerName(t)) == 0 || args.empty())
+        return "";
+    return args[0];
+}
+
 } // namespace shrimp::analyze

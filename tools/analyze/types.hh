@@ -49,6 +49,10 @@ bool typeIsTaskContainer(const TypeIndex &ix, const std::string &type);
  *  unwrapped. Empty when @p type is not class-shaped. */
 std::string typeClassName(const TypeIndex &ix, const std::string &type);
 
+/** The type `x[i]` has when `x` has type @p type: the element of a
+ *  vector, deque or array. Empty for any other type. */
+std::string subscriptType(const TypeIndex &ix, const std::string &type);
+
 } // namespace shrimp::analyze
 
 #endif // SHRIMP_TOOLS_ANALYZE_TYPES_HH
